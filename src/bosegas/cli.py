@@ -194,7 +194,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 # Grids and serialization
 # ----------------------------------------------------------------------
 
-def _temperature_grid(config: RunConfig) -> list[float]:
+def _temperature_grid(config: RunConfig, tc: float | None) -> list[float]:
+    """The configured grid; ``tc`` is the solved critical temperature."""
     n, lo, hi = config.points, config.tmin, config.tmax
     if n == 1:
         base = [lo]
@@ -204,10 +205,8 @@ def _temperature_grid(config: RunConfig) -> list[float]:
     else:
         base = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
     if config.spacing == "tc-refined":
-        charge = config.charge()
-        if charge is None:
+        if tc is None:
             raise ValueError("tc-refined spacing requires charge.density")
-        tc = critical_temperature(charge, config.mass, config.accuracy())
         for shift in (-1e-2, -1e-3, -1e-4, 0.0, 1e-4, 1e-3, 1e-2):
             t = tc * (1.0 + shift)
             if lo <= t <= hi:
@@ -280,19 +279,21 @@ def _sanitize(message: str) -> str:
 # ----------------------------------------------------------------------
 
 def _cmd_mutual_info(config: RunConfig) -> int:
-    grid = _temperature_grid(config)
+    charge = config.charge()
+    acc = config.accuracy()
+    tc = (None if charge is None
+          else critical_temperature(charge, config.mass, acc))
+    grid = _temperature_grid(config, tc)
     params = config.model()
     geometry = config.geometry()
-    acc = config.accuracy()
     meta = _meta_common(config, "mutual-info")
     columns = ("T", "mu", "rho_e", "rho_0", "I_m", "I_m_thermal_part",
                "S_g", "S_thermal", "error")
     rows: list[tuple[object, ...]] = []
     failed = False
 
-    charge = config.charge()
     if charge is not None:
-        table = sweep(params, geometry, charge, grid, acc)
+        table = sweep(params, geometry, charge, grid, acc, tc=tc)
         meta["critical_temperature"] = float(
             table.metadata["critical_temperature"])
         meta["resolved_regime"] = table.metadata["regime"]
@@ -324,7 +325,7 @@ def _cmd_mutual_info(config: RunConfig) -> int:
 
 
 def _cmd_entropy(config: RunConfig) -> int:
-    grid = _temperature_grid(config)
+    grid = _temperature_grid(config, None)
     params = config.model()
     geometry = config.geometry()
     acc = config.accuracy()
@@ -358,11 +359,11 @@ def _cmd_mu_solve(config: RunConfig) -> int:
     charge = config.charge()
     if charge is None:
         raise ValueError("mu-solve requires charge.density")
-    grid = _temperature_grid(config)
     acc = config.accuracy()
+    tc = critical_temperature(charge, config.mass, acc)
+    grid = _temperature_grid(config, tc)
     meta = _meta_common(config, "mu-solve")
-    meta["critical_temperature"] = critical_temperature(
-        charge, config.mass, acc)
+    meta["critical_temperature"] = tc
     columns = ("T", "mu", "z_nr", "rho_e", "rho_0", "phase", "error")
     rows: list[tuple[object, ...]] = []
     failed = False
@@ -455,7 +456,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--v2", type=float)
     sub.add_argument("--varea", type=float)
     sub.add_argument("--vvol", type=float)
-    sub.add_argument("--rtol", type=float)
+    sub.add_argument(
+        "--rtol", type=float,
+        help="relative quadrature tolerance (default 1e-8); fixed-charge "
+             "root solves tighten it to at most 1e-12, since they stop at a "
+             "charge residual of 1e-10 rho")
     sub.add_argument("--format", choices=_FORMATS)
     sub.add_argument("--out")
 

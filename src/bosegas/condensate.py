@@ -15,6 +15,23 @@ has the closed form :math:`(mT/2\pi)^{3/2}\,\mathrm{Li}_{3/2}(z)` with
 fugacity :math:`z = e^{\mu_{NR}/T}`, and the fully relativistic gas solved
 by quadrature with the antiparticle branch always included.
 
+Every fixed-charge root solve (the relativistic :math:`T_C`, and
+:math:`\mu(T)` in both regimes) runs one safeguarded bracketed solver,
+``_solve_bracketed``: Newton or secant steps from the latest point, with
+bisection only when a step leaves the bracket or two steps in a row fail
+to halve the residual.  The gas-phase unknown is
+:math:`u = \sqrt{m - |\mu|}` (relativistic) or :math:`\sqrt{-\mu_{NR}/T}`
+(non-relativistic): the density falls like :math:`C - c\,u` just above
+:math:`T_C`, so it is close to linear in :math:`u` where it is singular in
+:math:`\mu`.  The relativistic solve takes Newton steps with
+:math:`\partial\rho/\partial u` from one more occupation integral,
+:math:`\beta\,n(1+n)` on both branches, at a loose fixed budget (it only
+sets the step; the residual keeps the tight one).  Inside one
+:func:`sweep` each gas row starts from the previous gas rows, extrapolated
+linearly in :math:`u`; inside one :func:`discontinuity_estimate` each
+stencil point above :math:`T_C` starts from the nearest solved point,
+scaled by :math:`u \propto T - T_C`.  Nothing is cached between calls.
+
 The fixed-charge mutual information across a dividing plane of transverse
 two-volume :math:`V_2` is assembled here with the boundary normalization
 
@@ -184,21 +201,43 @@ def excited_density_nr(temperature: float, mu_nr: float, mass: float,
     return lam * polylog(1.5, z, acc)
 
 
-def _charge_density_rel_gap(temperature: float, mass: float, gap: float,
-                            acc: AccuracyBudget) -> float:
-    """Relativistic excited |charge| density at gap g = m - |mu| >= 0."""
+def _gap_integral(temperature: float, mass: float, gap: float,
+                  acc: AccuracyBudget,
+                  moment: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                   np.ndarray]) -> float:
+    """int d^3p/(2pi)^3 moment(n(omega - a), n(omega + a), omega), a = m - g.
+
+    The occupations are taken at inverse temperature 1/T; ``gap`` is
+    g = m - |mu| >= 0.
+    """
     beta = 1.0 / temperature
     a = mass - gap
 
     def integrand(p: np.ndarray) -> np.ndarray:
         omega, below = _gap_frequencies(mass, a, p)
-        return _bose(beta * below) - _bose(beta * (omega + a))
+        return moment(_bose(beta * below), _bose(beta * (omega + a)), omega)
 
     params = ModelParams(mass, 3, 2.0 * mass, FieldKind.CHARGED_COMPLEX)
     pts, scale = _thermal_grid(params, temperature, a)
     spec = RadialIntegralSpec(3, integrand, singular_points=pts,
                               accuracy=acc, tail_scale=scale)
     return integrate_radial(spec)
+
+
+def _charge_density_rel_gap(temperature: float, mass: float, gap: float,
+                            acc: AccuracyBudget) -> float:
+    """Relativistic excited |charge| density at gap g = m - |mu| >= 0."""
+    return _gap_integral(temperature, mass, gap, acc,
+                         lambda n_minus, n_plus, _omega: n_minus - n_plus)
+
+
+def _charge_slope_rel_gap(temperature: float, mass: float, gap: float,
+                          acc: AccuracyBudget) -> float:
+    """d rho / d g at gap g > 0: -(1/T) int d^3p/(2pi)^3 sum n (1 + n)."""
+    return -_gap_integral(
+        temperature, mass, gap, acc,
+        lambda n_minus, n_plus, _omega:
+            n_minus * (1.0 + n_minus) + n_plus * (1.0 + n_plus)) / temperature
 
 
 def charge_density_rel(point: ThermalPoint, mass: float,
@@ -221,50 +260,57 @@ def charge_density_rel(point: ThermalPoint, mass: float,
 def _boundary_integral_rel_gap(temperature: float, mass: float, gap: float,
                                acc: AccuracyBudget) -> float:
     """int d^3p/(2pi)^3 [n(omega-mu) + n(omega+mu)] / omega at g = m - |mu|."""
-    beta = 1.0 / temperature
-    a = mass - gap
-
-    def integrand(p: np.ndarray) -> np.ndarray:
-        omega, below = _gap_frequencies(mass, a, p)
-        return (_bose(beta * below) + _bose(beta * (omega + a))) / omega
-
-    params = ModelParams(mass, 3, 2.0 * mass, FieldKind.CHARGED_COMPLEX)
-    pts, scale = _thermal_grid(params, temperature, a)
-    spec = RadialIntegralSpec(3, integrand, singular_points=pts,
-                              accuracy=acc, tail_scale=scale)
-    return integrate_radial(spec)
+    return _gap_integral(temperature, mass, gap, acc,
+                         lambda n_minus, n_plus, omega:
+                             (n_minus + n_plus) / omega)
 
 
 # ----------------------------------------------------------------------
 # Root finding
 # ----------------------------------------------------------------------
 
-def _bisect_secant(fn: Callable[[float], float], lo: float, hi: float,
-                   f_lo: float, f_hi: float, *, x_rtol: float,
-                   f_stop: Callable[[float], bool],
-                   max_iter: int = 200) -> float:
-    """Bracketed root finder: bisection with secant acceleration.
+def _solve_bracketed(fn: Callable[[float], float], lo: float, hi: float,
+                     f_lo: float, f_hi: float, *, x_rtol: float,
+                     f_stop: Callable[[float], bool],
+                     guess: float | None = None,
+                     slope: Callable[[float], float | None] | None = None,
+                     max_iter: int = 200) -> float:
+    """Safeguarded bracketed root finder.
 
-    ``fn`` must be monotone-ish with f(lo), f(hi) of opposite sign.  Stops
-    when ``f_stop(residual)`` is satisfied or the bracket shrinks to
-    ``x_rtol`` relative width.
+    ``f(lo)`` and ``f(hi)`` must differ in sign.  The first point is
+    ``guess`` when it lies inside the bracket; every later step starts
+    from the latest point, by Newton when ``slope`` gives a finite nonzero
+    derivative there, else by the secant through the two latest points.
+    A step that leaves the open bracket is replaced by bisection, and so
+    is the step after two in a row that failed to halve the smallest
+    residual seen, which bounds the work on any bracket.  Stops when
+    ``f_stop(residual)`` holds or the bracket shrinks to ``x_rtol``
+    relative width.
     """
-    if f_lo == 0.0:
+    if f_stop(f_lo):
         return lo
-    if f_hi == 0.0:
+    if f_stop(f_hi):
         return hi
     if f_lo * f_hi > 0.0:
         raise ValueError("root is not bracketed")
     x_prev, f_prev = lo, f_lo
     x_curr, f_curr = hi, f_hi
+    best = min(abs(f_lo), abs(f_hi))
+    stalls = 0
+    stepped = False
+    x_new = guess if guess is not None and lo < guess < hi else None
     for _ in range(max_iter):
-        # Secant candidate, accepted only if it lands inside the bracket.
-        denom = f_curr - f_prev
-        x_new = ((x_curr - f_curr * (x_curr - x_prev) / denom)
-                 if denom != 0.0 else 0.5 * (lo + hi))
-        span = hi - lo
-        if not (lo + 0.01 * span <= x_new <= hi - 0.01 * span):
+        if x_new is None and stalls < 2:
+            # No slope at the initial bracket ends: they may sit at a
+            # singular end of the domain.
+            d = slope(x_curr) if slope is not None and stepped else None
+            if d is not None and math.isfinite(d) and d != 0.0:
+                x_new = x_curr - f_curr / d
+            elif f_curr != f_prev:
+                x_new = x_curr - f_curr * (x_curr - x_prev) / (f_curr - f_prev)
+        if x_new is None or not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
+            stalls = 0
         f_new = fn(x_new)
         if f_stop(f_new):
             return x_new
@@ -272,8 +318,12 @@ def _bisect_secant(fn: Callable[[float], float], lo: float, hi: float,
             hi, f_hi = x_new, f_new
         else:
             lo, f_lo = x_new, f_new
+        stalls = 0 if abs(f_new) <= 0.5 * best else stalls + 1
+        best = min(best, abs(f_new))
         x_prev, f_prev = x_curr, f_curr
         x_curr, f_curr = x_new, f_new
+        x_new = None
+        stepped = True
         if hi - lo <= x_rtol * max(abs(lo), abs(hi), 1e-300):
             return 0.5 * (lo + hi)
     raise ConvergenceError("bracketed root search exhausted its iterations",
@@ -300,57 +350,115 @@ def _critical_temperature_nr(density: float, mass: float) -> float:
 
 
 def _solver_acc(acc: AccuracyBudget) -> AccuracyBudget:
-    """Quadrature budget used inside root solves; keeps residuals clean."""
+    """Quadrature budget used inside root solves; keeps residuals clean.
+
+    The gas-phase solve stops at a residual of 1e-10 rho, so the density
+    integral must be good to well below that whatever the caller asked.
+    """
     return AccuracyBudget(
         relative_tolerance=min(1e-12, acc.relative_tolerance),
         max_terms=acc.max_terms,
         max_subdivisions=max(acc.max_subdivisions, 4000))
 
 
+def _slope_acc(acc: AccuracyBudget) -> AccuracyBudget:
+    """Loose budget for d rho / d gap: it only sets the Newton step."""
+    return AccuracyBudget(relative_tolerance=1e-6, max_terms=acc.max_terms,
+                          max_subdivisions=200)
+
+
 def _solve_nr(temperature: float, rho_abs: float, mass: float,
               acc: AccuracyBudget, residual_rtol: float
               ) -> tuple[float, float, float, Phase]:
-    """Return (mu_nr, excited, condensed, phase) for the NR gas."""
+    """Return (gap, excited, condensed, phase) for the NR gas."""
     lam = (mass * temperature / (2.0 * math.pi)) ** 1.5
     capacity = lam * _ZETA_3_2
     if capacity <= rho_abs:
         return 0.0, capacity, rho_abs - capacity, Phase.CONDENSED
 
-    target = rho_abs / lam                 # Li_{3/2}(e^{-d}) target, < zeta(3/2)
+    # Solve Li_{3/2}(e^{-d}) = target for v = sqrt(d), d = gap / T: near
+    # d = 0 the polylog falls like zeta(3/2) - 2 sqrt(pi d), linear in v.
+    target = rho_abs / lam                 # < zeta(3/2)
     d_hi = max(50.0, -math.log(target / 2.0) + 5.0) if target > 0 else 50.0
+    v_hi = math.sqrt(d_hi)
 
-    def residual(d: float) -> float:
-        return polylog(1.5, math.exp(-d), acc) - target
+    def residual(v: float) -> float:
+        return polylog(1.5, math.exp(-v * v), acc) - target
 
-    d = _bisect_secant(
-        residual, 0.0, d_hi, _ZETA_3_2 - target, residual(d_hi),
+    v = _solve_bracketed(
+        residual, 0.0, v_hi, _ZETA_3_2 - target, residual(v_hi),
         x_rtol=1e-14,
         f_stop=lambda r: abs(r) <= residual_rtol * target)
-    mu_nr = -temperature * d
-    return mu_nr, rho_abs, 0.0, Phase.GAS
+    return temperature * v * v, rho_abs, 0.0, Phase.GAS
 
 
 def _solve_rel(temperature: float, rho_abs: float, mass: float,
-               acc: AccuracyBudget, residual_rtol: float
+               acc: AccuracyBudget, residual_rtol: float,
+               u_guess: float | None = None
                ) -> tuple[float, float, float, Phase]:
-    """Return (gap, excited, condensed, phase) for the relativistic gas."""
+    """Return (gap, excited, condensed, phase) for the relativistic gas.
+
+    Newton in u = sqrt(gap), safeguarded by the bracket from u ~ 0
+    (capacity - rho) to u = sqrt(m) (mu = 0, residual -rho).  Without
+    ``u_guess`` the solve starts where the chord between the bracket ends
+    crosses zero in the gap itself: rho is convex in the gap, so that start
+    lies above the root, and close to it wherever rho is near-linear in
+    the gap (all but a thin layer just above T_C).
+    """
     q_acc = _solver_acc(acc)
     capacity = _charge_density_rel_gap(temperature, mass, 0.0, q_acc)
     if capacity <= rho_abs:
         return 0.0, capacity, rho_abs - capacity, Phase.CONDENSED
 
-    ln_lo = math.log(1e-30 * mass)          # effectively mu -> m
-    ln_hi = math.log(mass)                  # mu = 0, zero charge
+    s_acc = _slope_acc(acc)
+    if u_guess is None:
+        u_guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
 
-    def residual(ln_g: float) -> float:
-        return _charge_density_rel_gap(temperature, mass, math.exp(ln_g),
+    def residual(u: float) -> float:
+        return _charge_density_rel_gap(temperature, mass, u * u,
                                        q_acc) - rho_abs
 
-    ln_g = _bisect_secant(
-        residual, ln_lo, ln_hi, capacity - rho_abs, -rho_abs,
-        x_rtol=1e-14,
-        f_stop=lambda r: abs(r) <= residual_rtol * rho_abs)
-    return math.exp(ln_g), rho_abs, 0.0, Phase.GAS
+    def slope(u: float) -> float | None:
+        try:
+            return 2.0 * u * _charge_slope_rel_gap(temperature, mass, u * u,
+                                                   s_acc)
+        except (ValueError, ConvergenceError):
+            return None
+
+    u = _solve_bracketed(
+        residual, math.sqrt(1e-30 * mass), math.sqrt(mass),
+        capacity - rho_abs, -rho_abs, x_rtol=1e-14,
+        f_stop=lambda r: abs(r) <= residual_rtol * rho_abs,
+        guess=u_guess, slope=slope)
+    return u * u, rho_abs, 0.0, Phase.GAS
+
+
+def _solve_state(temperature: float, density: float, regime: Regime,
+                 mass: float, acc: AccuracyBudget, residual_rtol: float,
+                 u_guess: float | None = None
+                 ) -> tuple[CondensateState, float]:
+    """Solved state at a resolved regime, plus its gap m - |mu|.
+
+    ``u_guess`` is a starting sqrt(gap) for the relativistic solve.
+    """
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    rho_abs = abs(density)
+    if regime is Regime.NON_RELATIVISTIC:
+        gap, excited, condensed, phase = _solve_nr(
+            temperature, rho_abs, mass, acc, residual_rtol)
+    else:
+        gap, excited, condensed, phase = _solve_rel(
+            temperature, rho_abs, mass, acc, residual_rtol, u_guess)
+    state = CondensateState(
+        temperature=temperature,
+        mu=math.copysign(1.0, density) * (mass - gap),
+        z_nr=math.exp(-gap / temperature),
+        excited_density=excited,
+        condensate_density=condensed,
+        phase=phase,
+    )
+    return state, gap
 
 
 def solve_chemical_potential(temperature: float, charge: ChargeSpec,
@@ -363,32 +471,11 @@ def solve_chemical_potential(temperature: float, charge: ChargeSpec,
     density to ``residual_rtol`` (relative); in the condensed phase
     ``|mu| = m`` exactly and the charge excess sits in the condensate.
     """
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be positive, got {mass!r}")
     regime = _resolve_regime(charge, mass)
-    rho_abs = abs(charge.density)
-    sign = math.copysign(1.0, charge.density)
-
-    if regime is Regime.NON_RELATIVISTIC:
-        mu_nr, excited, condensed, phase = _solve_nr(
-            temperature, rho_abs, mass, acc, residual_rtol)
-        mu_abs = mass + mu_nr
-        z_nr = math.exp(mu_nr / temperature)
-    else:
-        gap, excited, condensed, phase = _solve_rel(
-            temperature, rho_abs, mass, acc, residual_rtol)
-        mu_abs = mass - gap
-        z_nr = math.exp(-gap / temperature)
-    return CondensateState(
-        temperature=temperature,
-        mu=sign * mu_abs,
-        z_nr=z_nr,
-        excited_density=excited,
-        condensate_density=condensed,
-        phase=phase,
-    )
+    return _solve_state(temperature, charge.density, regime, mass, acc,
+                        residual_rtol)[0]
 
 
 def critical_temperature(charge: ChargeSpec, mass: float,
@@ -397,27 +484,33 @@ def critical_temperature(charge: ChargeSpec, mass: float,
 
     Non-relativistic: the closed form
     :math:`T_C = (2\pi/m)\,(|\rho|/\zeta(3/2))^{2/3}` (series-consistent
-    with :func:`excited_density_nr`).  Relativistic: the leading estimate
-    :math:`\sqrt{3|\rho|/m}` refined by solving
-    ``charge capacity(T_C) = |rho|`` with the full quadrature.
+    with :func:`excited_density_nr`).  Relativistic: ``charge capacity(T_C)
+    = |rho|`` solved with the full quadrature, bracketed around the
+    non-relativistic and ultra-relativistic (:math:`\sqrt{3|\rho|/m}`)
+    estimates, whichever limit applies.
     """
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be positive, got {mass!r}")
     regime = _resolve_regime(charge, mass)
     rho_abs = abs(charge.density)
+    tc_nr = _critical_temperature_nr(rho_abs, mass)
     if regime is Regime.NON_RELATIVISTIC:
-        return _critical_temperature_nr(rho_abs, mass)
+        return tc_nr
 
-    tc0 = math.sqrt(3.0 * rho_abs / mass)
+    tc_ur = math.sqrt(3.0 * rho_abs / mass)
     q_acc = _solver_acc(acc)
 
+    # sqrt(capacity) is linear in T in the ultra-relativistic limit and
+    # close to it (T^(3/4)) in the non-relativistic one.
     def residual(t: float) -> float:
-        return _charge_density_rel_gap(t, mass, 0.0, q_acc) - rho_abs
+        return math.sqrt(_charge_density_rel_gap(t, mass, 0.0, q_acc)
+                         / rho_abs) - 1.0
 
-    lo, hi = 0.5 * tc0, 1.5 * tc0
-    f_lo, f_hi = residual(lo), residual(hi)
-    return _bisect_secant(residual, lo, hi, f_lo, f_hi, x_rtol=1e-12,
-                          f_stop=lambda r: abs(r) <= 1e-11 * rho_abs)
+    # The capacity exceeds both limiting forms, so T_C lies just below the
+    # smaller estimate (by at most ~9%, in the crossover near rho ~ m^3).
+    lo, hi = 0.5 * min(tc_nr, tc_ur), 1.5 * min(tc_nr, tc_ur)
+    return _solve_bracketed(residual, lo, hi, residual(lo), residual(hi),
+                            x_rtol=1e-12, f_stop=lambda r: abs(r) <= 5e-12)
 
 
 # ----------------------------------------------------------------------
@@ -498,16 +591,35 @@ def mutual_info_at_fixed_charge(params: ModelParams, geometry: Geometry,
 
 def sweep(params: ModelParams, geometry: Geometry, charge: ChargeSpec,
           temperatures: Sequence[float],
-          acc: AccuracyBudget = DEFAULT_BUDGET) -> SweepTable:
-    """Fixed-charge sweep over temperatures; failures recorded per row."""
+          acc: AccuracyBudget = DEFAULT_BUDGET, *,
+          tc: float | None = None) -> SweepTable:
+    """Fixed-charge sweep over temperatures; failures recorded per row.
+
+    Each relativistic gas row starts its solve from the previous gas rows,
+    extrapolated linearly in sqrt(m - |mu|).  ``tc`` is a critical
+    temperature the caller already solved for this charge and budget; it
+    is solved here when None.
+    """
     _validate_fixed_charge_model(params)
     regime = _resolve_regime(charge, params.mass)
+    if tc is None:
+        tc = critical_temperature(ChargeSpec(charge.density, regime),
+                                  params.mass, acc)
     rows: list[SweepRow] = []
     nan = float("nan")
+    gas: list[tuple[float, float]] = []     # (T, sqrt(gap)) of gas rows
     for t in temperatures:
+        u_guess = None
+        if len(gas) == 1:
+            u_guess = gas[-1][1]
+        elif len(gas) > 1:
+            (t0, u0), (t1, u1) = gas[-2], gas[-1]
+            u_guess = u1 if t1 == t0 else u1 + (u1 - u0) * (t - t1) / (t1 - t0)
         try:
-            state = solve_chemical_potential(
-                t, ChargeSpec(charge.density, regime), params.mass, acc)
+            state, gap = _solve_state(t, charge.density, regime, params.mass,
+                                      acc, 1e-10, u_guess)
+            if state.phase is Phase.GAS:
+                gas.append((t, math.sqrt(gap)))
             rep = _report_at_state(params, geometry, state, regime, acc)
             rows.append(SweepRow(
                 temperature=t,
@@ -525,8 +637,6 @@ def sweep(params: ModelParams, geometry: Geometry, charge: ChargeSpec,
                 condensate_density=nan, mutual_information=nan,
                 boundary_thermal_part=nan, geometric_entropy=nan,
                 thermal_entropy=nan, error=str(exc)))
-    tc = critical_temperature(ChargeSpec(charge.density, regime), params.mass,
-                              acc)
     metadata = {
         "mass": repr(params.mass),
         "uv_cutoff": repr(params.uv_cutoff),
@@ -652,12 +762,18 @@ def discontinuity_estimate(params: ModelParams, geometry: Geometry,
         def f_below(t: float) -> float:
             return coeff * _boundary_integral_rel_gap(t, m, 0.0, tight)
 
+        solved: dict[float, float] = {}     # T -> sqrt(gap), above T_C
+
         def f_above(t: float) -> float:
-            _gap, _exc, _cond, phase = _solve_rel(t, rho_abs, m, tight,
-                                                  residual_rtol=3e-13)
-            if phase is Phase.CONDENSED:     # only exactly at t == tc
-                _gap = 0.0
-            return coeff * _boundary_integral_rel_gap(t, m, _gap, tight)
+            # Start from the nearest solved point, scaled by
+            # sqrt(gap) ~ T - T_C, the limiting branch the stencil samples.
+            u_guess = None
+            if solved:
+                near = min(solved, key=lambda s: abs(s - t))
+                u_guess = solved[near] * (t - tc) / (near - tc)
+            gap = _solve_rel(t, rho_abs, m, tight, 3e-13, u_guess)[0]
+            solved[t] = math.sqrt(gap)
+            return coeff * _boundary_integral_rel_gap(t, m, gap, tight)
 
         analytic = -(math.pi * math.sqrt(3.0) / 9.0) * v2 \
             * math.sqrt(rho_abs / m)

@@ -197,12 +197,17 @@ def _bose(x: np.ndarray) -> np.ndarray:
 
 
 def _entropy_weight(x: np.ndarray) -> np.ndarray:
-    """x n(x) - ln(1 - e^-x), the entropy density weight per mode."""
+    """x n(x) - ln(1 - e^-x), the entropy density weight per mode.
+
+    Written as x n + ln(1 + n) with n = 1/(e^x - 1): both terms stay
+    finite and accurate down to x -> 0, where ln(1 - e^-x) loses digits.
+    """
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     ok = x < _EXP_BIG
     xo = x[ok]
-    out[ok] = xo / np.expm1(xo) - np.log1p(-np.exp(-xo))
+    n = 1.0 / np.expm1(xo)
+    out[ok] = xo * n + np.log1p(n)
     return out
 
 

@@ -7,6 +7,7 @@ parsed back and cross-checked against direct library calls.
 import json
 import math
 
+from bosegas import cli, condensate
 from bosegas.cli import main
 from bosegas.condensate import ChargeSpec, Regime, critical_temperature
 from bosegas.specfun import AccuracyBudget
@@ -140,6 +141,25 @@ class TestMutualInfoFixedCharge:
         hot = dict(zip(columns, rows[1]))
         assert float(cold["rho_0"]) > 0.0
         assert float(hot["rho_0"]) == 0.0
+
+    def test_tc_refined_solves_tc_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return critical_temperature(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "critical_temperature", counted)
+        monkeypatch.setattr(condensate, "critical_temperature", counted)
+        code, out = run(capsys, [
+            "mutual-info", "--charge-density", "30", "--regime", "rel",
+            "--tmin", "8", "--tmax", "12", "--points", "3",
+            "--spacing", "tc-refined"])
+        assert code == 0
+        assert len(calls) == 1
+        meta, _, rows = parse_csv(out)
+        tc = float(meta["critical_temperature"])
+        assert any(float(r[0]) == tc for r in rows)
 
 
 class TestEntropy:

@@ -9,19 +9,21 @@ Closed-form references (all evaluated in-test):
   relativistic transition, and the jump magnitude pi T_C / 9.
 
 One frozen anchor (the refined relativistic T_C at rho = 1e4, m = 1) guards
-quadrature drift.
+quadrature drift.  Work-count tests pin how many radial integrals the
+relativistic root solves spend; the counts are deterministic.
 """
 
 import math
 
 import pytest
 
+from bosegas import condensate
 from bosegas.condensate import (ChargeSpec, CondensateState, Phase, Regime,
                                 charge_density_rel, critical_temperature,
                                 discontinuity_estimate, excited_density_nr,
                                 mutual_info_at_fixed_charge,
                                 solve_chemical_potential, sweep)
-from bosegas.specfun import zeta
+from bosegas.specfun import AccuracyBudget, zeta
 from bosegas.thermo import FieldKind, Geometry, ModelParams, ThermalPoint
 
 
@@ -130,6 +132,14 @@ class TestCriticalTemperature:
         tc = critical_temperature(rel_charge(1.0e4), 1.0)
         cap = charge_density_rel(ThermalPoint(tc, 1.0), 1.0)
         assert rel(cap, 1.0e4) < 1e-9
+
+    def test_rel_low_density_is_bracketed(self):
+        # T_C << m: the non-relativistic estimate, not sqrt(3 rho / m),
+        # sets the bracket
+        tc = critical_temperature(rel_charge(1.0e-12), 1.0)
+        assert rel(tc, tc_nr(1.0e-12)) < 1e-6
+        cap = charge_density_rel(ThermalPoint(tc, 1.0), 1.0)
+        assert rel(cap, 1.0e-12) < 1e-9
 
 
 class TestSolveChemicalPotential:
@@ -352,3 +362,69 @@ class TestStateShape:
         assert isinstance(state, CondensateState)
         assert state.temperature == 1.0
         assert 0.0 < state.z_nr <= 1.0
+
+
+class TestRootSolveWork:
+    """Radial integrals spent by the relativistic fixed-charge solves."""
+
+    CLI_ACC = AccuracyBudget(relative_tolerance=1e-8)   # CLI default --rtol
+
+    @pytest.fixture
+    def integrals(self, monkeypatch):
+        calls = [0]
+        inner = condensate.integrate_radial
+
+        def counted(spec):
+            calls[0] += 1
+            return inner(spec)
+
+        monkeypatch.setattr(condensate, "integrate_radial", counted)
+        return calls
+
+    def test_rel_tc(self, integrals):
+        critical_temperature(rel_charge(1.0e4), 1.0)
+        assert integrals[0] <= 10
+
+    def test_rel_sweep(self, integrals):
+        # mutual-info --charge-density 1e4 --regime rel --tmin 100
+        # --tmax 300 --points 40
+        temps = [100.0 + 200.0 * i / 39 for i in range(40)]
+        table = sweep(charged_params(), GEO, rel_charge(1.0e4), temps,
+                      self.CLI_ACC)
+        assert all(row.error is None for row in table.rows)
+        assert integrals[0] < 450
+
+    @pytest.mark.filterwarnings("ignore:sign finding")
+    def test_rel_discontinuity(self, integrals):
+        discontinuity_estimate(charged_params(), GEO, rel_charge(1.0e4),
+                               self.CLI_ACC)
+        assert integrals[0] < 170
+
+
+class TestRefinedSweepRows:
+    # rho = 10 lands the T = T_C row in the gas phase at a gap of ~1e-30,
+    # rho = 30 in the condensed phase; every row must be finite and valid
+    @pytest.mark.parametrize("rho", [10.0, 30.0])
+    def test_rows_reproduce_density_including_tc(self, rho):
+        charge = rel_charge(rho)
+        tc = critical_temperature(charge, 1.0)
+        temps = sorted([0.9 * tc, 1.2 * tc, 1.5 * tc]
+                       + [tc * (1.0 + s) for s in
+                          (-1e-2, -1e-3, -1e-4, 0.0, 1e-4, 1e-3, 1e-2)])
+        table = sweep(charged_params(), GEO, charge, temps, tc=tc)
+        gas = 0
+        for row in table.rows:
+            assert row.error is None
+            assert all(math.isfinite(v) for v in (
+                row.mu, row.mutual_information, row.geometric_entropy,
+                row.thermal_entropy))
+            if row.condensate_density > 0.0:
+                assert row.mu == 1.0
+                assert rel(row.excited_density + row.condensate_density,
+                           rho) < 1e-12
+            else:
+                gas += 1
+                back = charge_density_rel(
+                    ThermalPoint(row.temperature, row.mu), 1.0)
+                assert rel(back, rho) < 1e-9
+        assert gas >= 5

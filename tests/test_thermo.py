@@ -13,7 +13,8 @@ import pytest
 
 from bosegas.specfun import AccuracyBudget, EULER_GAMMA, gamma_upper
 from bosegas.thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
-                            ThermalPoint, boundary_thermal_matsubara,
+                            ThermalPoint, _entropy_weight,
+                            boundary_thermal_matsubara,
                             dispersion, high_t_expansion, mutual_info_charged,
                             mutual_info_neutral, thermal_entropy,
                             zero_t_entanglement)
@@ -213,6 +214,26 @@ class TestFrozenAnchors:
         rep = mutual_info_charged(
             charged(), GEO, ThermalPoint(0.5, chemical_potential=1.0))
         assert rel(rep.boundary_thermal_part, 0.06725317406764553) < 1e-9
+
+
+class TestEntropyWeight:
+    # x/(e^x - 1) - ln(1 - e^-x), arbitrary-precision reference (mpmath,
+    # 50 digits), rounded to double
+    REFERENCE = {
+        1e-30: 70.07755278982137,
+        1e-16: 37.841361487904734,
+        1e-12: 28.631021115928547,
+        1.0: 1.0406518522564083,
+        20.0: 4.328422615830098e-08,
+        50.0: 9.83662422461598e-21,
+    }
+
+    def test_matches_reference_down_to_tiny_argument(self):
+        xs = np.array(sorted(self.REFERENCE))
+        got = _entropy_weight(xs)
+        for x, w in zip(xs, got):
+            assert math.isfinite(w)
+            assert rel(w, self.REFERENCE[x]) < 1e-15
 
 
 class TestMatsubaraRoute:
