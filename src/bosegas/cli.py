@@ -39,13 +39,13 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .condensate import (ChargeSpec, Regime, critical_temperature,
-                         discontinuity_estimate, mutual_info_at_fixed_charge,
-                         solve_chemical_potential, sweep)
+                         discontinuity_estimate, solve_chemical_potential,
+                         sweep)
 from .errors import ConvergenceError
 from .oracles import FAMILIES, run_suite
 from .specfun import AccuracyBudget
-from .thermo import (FieldKind, Geometry, ModelParams, ThermalPoint,
-                     mutual_info_charged, mutual_info_neutral)
+from .thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
+                     ThermalPoint, mutual_info_charged, mutual_info_neutral)
 
 _UNITS_NOTE = "natural units (hbar = c = kB = 1); entropies in nats"
 
@@ -151,16 +151,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, object] = {}
     if getattr(args, "config", None):
         values.update(_parse_config_file(args.config))
-    flag_map = {
-        "mass": "mass", "dim": "dimension", "cutoff": "cutoff",
-        "mu": "mu", "charge_density": "charge_density", "regime": "regime",
-        "tmin": "tmin", "tmax": "tmax", "points": "points",
-        "spacing": "spacing", "v2": "v2", "varea": "varea", "vvol": "vvol",
-        "rtol": "rtol", "format": "format", "out": "out",
-        "field_kind": "field_kind",
-    }
-    for flag, attr in flag_map.items():
-        value = getattr(args, flag, None)
+    # Every config key has one flag whose argparse dest is its attribute.
+    for attr, _parse in _CONFIG_KEYS.values():
+        value = getattr(args, attr, None)
         if value is not None:
             values[attr] = value
     # Fixed-charge physics is defined for the charged field; default the
@@ -278,80 +271,76 @@ def _sanitize(message: str) -> str:
 # Subcommands
 # ----------------------------------------------------------------------
 
+_FIXED_MU_CELLS = 6     # numeric columns between (T, mu) and error
+
+
+def _fixed_mu_rows(config: RunConfig, grid: Sequence[float],
+                   cells: Callable[[EntropyReport], tuple[float, ...]]
+                   ) -> tuple[list[tuple[object, ...]], bool]:
+    """Rows (T, mu, *cells(report), error) at the fixed chemical potential.
+
+    Returns the rows and whether any of them failed; a failed row carries
+    NaN in every ``cells`` column.
+    """
+    params = config.model()
+    geometry = config.geometry()
+    acc = config.accuracy()
+    report = (mutual_info_neutral
+              if params.field_kind is FieldKind.NEUTRAL_REAL
+              else mutual_info_charged)
+    rows: list[tuple[object, ...]] = []
+    failed = False
+    for t in grid:
+        try:
+            rep = report(params, geometry, ThermalPoint(t, config.mu), acc)
+            rows.append((t, config.mu, *cells(rep), ""))
+        except (ValueError, ConvergenceError) as exc:
+            failed = True
+            rows.append((t, config.mu, *[float("nan")] * _FIXED_MU_CELLS,
+                         _sanitize(str(exc))))
+    return rows, failed
+
+
 def _cmd_mutual_info(config: RunConfig) -> int:
     charge = config.charge()
     acc = config.accuracy()
     tc = (None if charge is None
           else critical_temperature(charge, config.mass, acc))
     grid = _temperature_grid(config, tc)
-    params = config.model()
-    geometry = config.geometry()
     meta = _meta_common(config, "mutual-info")
     columns = ("T", "mu", "rho_e", "rho_0", "I_m", "I_m_thermal_part",
                "S_g", "S_thermal", "error")
-    rows: list[tuple[object, ...]] = []
-    failed = False
-
-    if charge is not None:
-        table = sweep(params, geometry, charge, grid, acc, tc=tc)
+    if charge is None:
+        rows, failed = _fixed_mu_rows(config, grid, lambda rep: (
+            0.0, 0.0, rep.mutual_information, rep.boundary_thermal_part,
+            rep.geometric_entropy, -2.0 * rep.extensive_thermal_part))
+    else:
+        table = sweep(config.model(), config.geometry(), charge, grid, acc,
+                      tc=tc)
         meta["critical_temperature"] = float(
             table.metadata["critical_temperature"])
         meta["resolved_regime"] = table.metadata["regime"]
-        for r in table.rows:
-            failed = failed or r.error is not None
-            rows.append((r.temperature, r.mu, r.excited_density,
-                         r.condensate_density, r.mutual_information,
-                         r.boundary_thermal_part, r.geometric_entropy,
-                         r.thermal_entropy,
-                         "" if r.error is None else _sanitize(r.error)))
-    else:
-        neutral = params.field_kind is FieldKind.NEUTRAL_REAL
-        for t in grid:
-            try:
-                point = ThermalPoint(t, config.mu)
-                rep = (mutual_info_neutral(params, geometry, point, acc)
-                       if neutral else
-                       mutual_info_charged(params, geometry, point, acc))
-                rows.append((t, config.mu, 0.0, 0.0, rep.mutual_information,
-                             rep.boundary_thermal_part, rep.geometric_entropy,
-                             -2.0 * rep.extensive_thermal_part, ""))
-            except (ValueError, ConvergenceError) as exc:
-                failed = True
-                nan = float("nan")
-                rows.append((t, config.mu, nan, nan, nan, nan, nan, nan,
-                             _sanitize(str(exc))))
+        rows = [(r.temperature, r.mu, r.excited_density,
+                 r.condensate_density, r.mutual_information,
+                 r.boundary_thermal_part, r.geometric_entropy,
+                 r.thermal_entropy,
+                 "" if r.error is None else _sanitize(r.error))
+                for r in table.rows]
+        failed = any(r.error is not None for r in table.rows)
     _emit(_render_table(meta, columns, rows, config.format), config.out)
     return 3 if failed else 0
 
 
 def _cmd_entropy(config: RunConfig) -> int:
     grid = _temperature_grid(config, None)
-    params = config.model()
-    geometry = config.geometry()
-    acc = config.accuracy()
-    neutral = params.field_kind is FieldKind.NEUTRAL_REAL
-    meta = _meta_common(config, "entropy")
     columns = ("T", "mu", "zero_t_part", "boundary_thermal_part",
                "extensive_thermal_part", "S_g", "I_m", "S_thermal", "error")
-    rows: list[tuple[object, ...]] = []
-    failed = False
-    for t in grid:
-        try:
-            point = ThermalPoint(t, config.mu)
-            rep = (mutual_info_neutral(params, geometry, point, acc)
-                   if neutral else
-                   mutual_info_charged(params, geometry, point, acc))
-            rows.append((t, config.mu, rep.zero_t_part,
-                         rep.boundary_thermal_part,
-                         rep.extensive_thermal_part, rep.geometric_entropy,
-                         rep.mutual_information,
-                         -2.0 * rep.extensive_thermal_part, ""))
-        except (ValueError, ConvergenceError) as exc:
-            failed = True
-            nan = float("nan")
-            rows.append((t, config.mu, nan, nan, nan, nan, nan, nan,
-                         _sanitize(str(exc))))
-    _emit(_render_table(meta, columns, rows, config.format), config.out)
+    rows, failed = _fixed_mu_rows(config, grid, lambda rep: (
+        rep.zero_t_part, rep.boundary_thermal_part,
+        rep.extensive_thermal_part, rep.geometric_entropy,
+        rep.mutual_information, -2.0 * rep.extensive_thermal_part))
+    _emit(_render_table(_meta_common(config, "entropy"), columns, rows,
+                        config.format), config.out)
     return 3 if failed else 0
 
 
@@ -442,7 +431,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--mass", type=float)
-    sub.add_argument("--dim", type=int)
+    sub.add_argument("--dim", dest="dimension", metavar="DIM", type=int)
     sub.add_argument("--cutoff", type=float)
     sub.add_argument("--field-kind", dest="field_kind",
                      choices=sorted(_FIELD_KINDS))

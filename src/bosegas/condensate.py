@@ -23,7 +23,9 @@ to halve the residual.  The gas-phase unknown is
 :math:`u = \sqrt{m - |\mu|}` (relativistic) or :math:`\sqrt{-\mu_{NR}/T}`
 (non-relativistic): the density falls like :math:`C - c\,u` just above
 :math:`T_C`, so it is close to linear in :math:`u` where it is singular in
-:math:`\mu`.  The relativistic solve takes Newton steps with
+:math:`\mu`.  Far above :math:`T_C`, where :math:`|\mu| \ll m` and
+:math:`m - u^2` cannot resolve it, the relativistic unknown is
+:math:`|\mu|` itself.  The relativistic solve takes Newton steps with
 :math:`\partial\rho/\partial u` from one more occupation integral,
 :math:`\beta\,n(1+n)` on both branches, at a loose fixed budget (it only
 sets the step; the residual keeps the tight one).  Inside one
@@ -54,14 +56,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .errors import ConvergenceError, QuadratureError
-from .quadrature import RadialIntegralSpec, integrate_radial
+from .errors import ConvergenceError
 from .specfun import AccuracyBudget, DEFAULT_BUDGET, polylog, zeta
 from .thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
-                     ThermalPoint, _bose, _entropy_weight, _gap_frequencies,
-                     _thermal_grid, zero_t_entanglement)
+                     ThermalPoint, _bose, _boundary_charged, _entropy_charged,
+                     _entropy_report, _occupation_integral,
+                     zero_t_entanglement)
 
 __all__ = [
     "ChargeSpec",
@@ -87,6 +87,10 @@ _ZETA_3_2 = zeta(1.5)
 # in between is refused so the caller must choose explicitly.
 _AUTO_NR_MAX = 0.1
 _AUTO_REL_MIN = 10.0
+
+# The relativistic gas solve runs in |mu| instead of sqrt(m - |mu|) when
+# the root's lower bound lies below this fraction of m (see _solve_rel).
+_SMALL_MU = 1e-3
 
 
 class Regime(enum.Enum):
@@ -201,43 +205,31 @@ def excited_density_nr(temperature: float, mu_nr: float, mass: float,
     return lam * polylog(1.5, z, acc)
 
 
-def _gap_integral(temperature: float, mass: float, gap: float,
-                  acc: AccuracyBudget,
-                  moment: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                   np.ndarray]) -> float:
-    """int d^3p/(2pi)^3 moment(n(omega - a), n(omega + a), omega), a = m - g.
+def _charge_density_rel_at(temperature: float, mass: float, a: float,
+                           acc: AccuracyBudget) -> float:
+    """Relativistic excited |charge| density at a = |mu| in [0, m].
 
-    The occupations are taken at inverse temperature 1/T; ``gap`` is
-    g = m - |mu| >= 0.
+    The occupation difference is taken as
+    n(omega - a) - n(omega + a) = n_- (1 + n_+) (1 - e^(-2a/T)), which has
+    no difference of large terms and no overflow.
     """
-    beta = 1.0 / temperature
-    a = mass - gap
-
-    def integrand(p: np.ndarray) -> np.ndarray:
-        omega, below = _gap_frequencies(mass, a, p)
-        return moment(_bose(beta * below), _bose(beta * (omega + a)), omega)
-
-    params = ModelParams(mass, 3, 2.0 * mass, FieldKind.CHARGED_COMPLEX)
-    pts, scale = _thermal_grid(params, temperature, a)
-    spec = RadialIntegralSpec(3, integrand, singular_points=pts,
-                              accuracy=acc, tail_scale=scale)
-    return integrate_radial(spec)
+    c = -math.expm1(-2.0 * a / temperature)
+    return _occupation_integral(
+        3, mass, temperature, a,
+        lambda x_minus, x_plus, _omega:
+            _bose(x_minus) * (1.0 + _bose(x_plus)) * c, acc)
 
 
-def _charge_density_rel_gap(temperature: float, mass: float, gap: float,
-                            acc: AccuracyBudget) -> float:
-    """Relativistic excited |charge| density at gap g = m - |mu| >= 0."""
-    return _gap_integral(temperature, mass, gap, acc,
-                         lambda n_minus, n_plus, _omega: n_minus - n_plus)
+def _charge_slope_rel_at(temperature: float, mass: float, a: float,
+                         acc: AccuracyBudget) -> float:
+    """d rho / d|mu| at |mu| = a < m: (1/T) int d^3p/(2pi)^3 sum n (1 + n)."""
 
+    def moment(x_minus, x_plus, _omega):
+        n_minus, n_plus = _bose(x_minus), _bose(x_plus)
+        return n_minus * (1.0 + n_minus) + n_plus * (1.0 + n_plus)
 
-def _charge_slope_rel_gap(temperature: float, mass: float, gap: float,
-                          acc: AccuracyBudget) -> float:
-    """d rho / d g at gap g > 0: -(1/T) int d^3p/(2pi)^3 sum n (1 + n)."""
-    return -_gap_integral(
-        temperature, mass, gap, acc,
-        lambda n_minus, n_plus, _omega:
-            n_minus * (1.0 + n_minus) + n_plus * (1.0 + n_plus)) / temperature
+    return _occupation_integral(3, mass, temperature, a, moment,
+                                acc) / temperature
 
 
 def charge_density_rel(point: ThermalPoint, mass: float,
@@ -253,16 +245,8 @@ def charge_density_rel(point: ThermalPoint, mass: float,
         raise ValueError(f"|mu| = {a!r} exceeds the mass {mass!r}")
     if a == 0.0:
         return 0.0
-    value = _charge_density_rel_gap(point.temperature, mass, mass - a, acc)
+    value = _charge_density_rel_at(point.temperature, mass, a, acc)
     return math.copysign(value, point.chemical_potential)
-
-
-def _boundary_integral_rel_gap(temperature: float, mass: float, gap: float,
-                               acc: AccuracyBudget) -> float:
-    """int d^3p/(2pi)^3 [n(omega-mu) + n(omega+mu)] / omega at g = m - |mu|."""
-    return _gap_integral(temperature, mass, gap, acc,
-                         lambda n_minus, n_plus, omega:
-                             (n_minus + n_plus) / omega)
 
 
 # ----------------------------------------------------------------------
@@ -369,12 +353,16 @@ def _slope_acc(acc: AccuracyBudget) -> AccuracyBudget:
 
 def _solve_nr(temperature: float, rho_abs: float, mass: float,
               acc: AccuracyBudget, residual_rtol: float
-              ) -> tuple[float, float, float, Phase]:
-    """Return (gap, excited, condensed, phase) for the NR gas."""
+              ) -> tuple[float, float, float, float, Phase]:
+    """Return (gap, |mu|, excited, condensed, phase) for the NR gas.
+
+    Warns when the solved gap exceeds the mass: mu = m - gap then breaks
+    |mu| <= m, a sign that the gas is too hot for the NR regime.
+    """
     lam = (mass * temperature / (2.0 * math.pi)) ** 1.5
     capacity = lam * _ZETA_3_2
     if capacity <= rho_abs:
-        return 0.0, capacity, rho_abs - capacity, Phase.CONDENSED
+        return 0.0, mass, capacity, rho_abs - capacity, Phase.CONDENSED
 
     # Solve Li_{3/2}(e^{-d}) = target for v = sqrt(d), d = gap / T: near
     # d = 0 the polylog falls like zeta(3/2) - 2 sqrt(pi d), linear in v.
@@ -389,14 +377,21 @@ def _solve_nr(temperature: float, rho_abs: float, mass: float,
         residual, 0.0, v_hi, _ZETA_3_2 - target, residual(v_hi),
         x_rtol=1e-14,
         f_stop=lambda r: abs(r) <= residual_rtol * target)
-    return temperature * v * v, rho_abs, 0.0, Phase.GAS
+    gap = temperature * v * v
+    if gap > mass:
+        warnings.warn(
+            f"non-relativistic gas at T = {temperature!r}: the gap "
+            f"m - |mu| = {gap:.6g} exceeds the mass {mass!r}, so |mu| > m; "
+            "the NR regime does not describe this gas (use the relativistic "
+            "regime)", stacklevel=4)
+    return gap, mass - gap, rho_abs, 0.0, Phase.GAS
 
 
 def _solve_rel(temperature: float, rho_abs: float, mass: float,
                acc: AccuracyBudget, residual_rtol: float,
                u_guess: float | None = None
-               ) -> tuple[float, float, float, Phase]:
-    """Return (gap, excited, condensed, phase) for the relativistic gas.
+               ) -> tuple[float, float, float, float, Phase]:
+    """Return (gap, |mu|, excited, condensed, phase) for the relativistic gas.
 
     Newton in u = sqrt(gap), safeguarded by the bracket from u ~ 0
     (capacity - rho) to u = sqrt(m) (mu = 0, residual -rho).  Without
@@ -404,33 +399,49 @@ def _solve_rel(temperature: float, rho_abs: float, mass: float,
     crosses zero in the gap itself: rho is convex in the gap, so that start
     lies above the root, and close to it wherever rho is near-linear in
     the gap (all but a thin layer just above T_C).
+
+    m - u^2 resolves |mu| only to ~1e-14 m.  rho is convex in |mu|, so
+    a_low = m rho / capacity bounds the root from below; below _SMALL_MU m
+    (far above T_C) the same solve runs in |mu| on [0, m] from a_low.
     """
     q_acc = _solver_acc(acc)
-    capacity = _charge_density_rel_gap(temperature, mass, 0.0, q_acc)
+    capacity = _charge_density_rel_at(temperature, mass, mass, q_acc)
     if capacity <= rho_abs:
-        return 0.0, capacity, rho_abs - capacity, Phase.CONDENSED
+        return 0.0, mass, capacity, rho_abs - capacity, Phase.CONDENSED
 
     s_acc = _slope_acc(acc)
-    if u_guess is None:
-        u_guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
 
-    def residual(u: float) -> float:
-        return _charge_density_rel_gap(temperature, mass, u * u,
-                                       q_acc) - rho_abs
+    def residual_at(a: float) -> float:
+        return _charge_density_rel_at(temperature, mass, a, q_acc) - rho_abs
 
-    def slope(u: float) -> float | None:
+    def slope_at(a: float) -> float | None:
+        """d rho / d|mu| at |mu| = a; None where the integral fails."""
         try:
-            return 2.0 * u * _charge_slope_rel_gap(temperature, mass, u * u,
-                                                   s_acc)
+            return _charge_slope_rel_at(temperature, mass, a, s_acc)
         except (ValueError, ConvergenceError):
             return None
 
+    def converged(r: float) -> bool:
+        return abs(r) <= residual_rtol * rho_abs
+
+    a_low = mass * rho_abs / capacity
+    if a_low < _SMALL_MU * mass:
+        a = _solve_bracketed(
+            residual_at, 0.0, mass, -rho_abs, capacity - rho_abs,
+            x_rtol=1e-14, f_stop=converged, guess=a_low, slope=slope_at)
+        return mass - a, a, rho_abs, 0.0, Phase.GAS
+
+    def slope(u: float) -> float | None:
+        d = slope_at(mass - u * u)
+        return None if d is None else -2.0 * u * d
+
+    if u_guess is None:
+        u_guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
     u = _solve_bracketed(
-        residual, math.sqrt(1e-30 * mass), math.sqrt(mass),
-        capacity - rho_abs, -rho_abs, x_rtol=1e-14,
-        f_stop=lambda r: abs(r) <= residual_rtol * rho_abs,
-        guess=u_guess, slope=slope)
-    return u * u, rho_abs, 0.0, Phase.GAS
+        lambda u: residual_at(mass - u * u), math.sqrt(1e-30 * mass),
+        math.sqrt(mass), capacity - rho_abs, -rho_abs, x_rtol=1e-14,
+        f_stop=converged, guess=u_guess, slope=slope)
+    return u * u, mass - u * u, rho_abs, 0.0, Phase.GAS
 
 
 def _solve_state(temperature: float, density: float, regime: Regime,
@@ -445,14 +456,14 @@ def _solve_state(temperature: float, density: float, regime: Regime,
         raise ValueError(f"temperature must be positive, got {temperature!r}")
     rho_abs = abs(density)
     if regime is Regime.NON_RELATIVISTIC:
-        gap, excited, condensed, phase = _solve_nr(
+        gap, a, excited, condensed, phase = _solve_nr(
             temperature, rho_abs, mass, acc, residual_rtol)
     else:
-        gap, excited, condensed, phase = _solve_rel(
+        gap, a, excited, condensed, phase = _solve_rel(
             temperature, rho_abs, mass, acc, residual_rtol, u_guess)
     state = CondensateState(
         temperature=temperature,
-        mu=math.copysign(1.0, density) * (mass - gap),
+        mu=math.copysign(1.0, density) * a,
         z_nr=math.exp(-gap / temperature),
         excited_density=excited,
         condensate_density=condensed,
@@ -470,6 +481,8 @@ def solve_chemical_potential(temperature: float, charge: ChargeSpec,
     In the gas phase the returned chemical potential reproduces the charge
     density to ``residual_rtol`` (relative); in the condensed phase
     ``|mu| = m`` exactly and the charge excess sits in the condensate.
+    A non-relativistic gas state whose gap exceeds the mass breaks
+    ``|mu| <= m``; it is returned with a ``UserWarning``.
     """
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be positive, got {mass!r}")
@@ -503,7 +516,7 @@ def critical_temperature(charge: ChargeSpec, mass: float,
     # sqrt(capacity) is linear in T in the ultra-relativistic limit and
     # close to it (T^(3/4)) in the non-relativistic one.
     def residual(t: float) -> float:
-        return math.sqrt(_charge_density_rel_gap(t, mass, 0.0, q_acc)
+        return math.sqrt(_charge_density_rel_at(t, mass, mass, q_acc)
                          / rho_abs) - 1.0
 
     # The capacity exceeds both limiting forms, so T_C lies just below the
@@ -541,35 +554,17 @@ def _report_at_state(params: ModelParams, geometry: Geometry,
     """Assemble the fixed-charge entropy report at a solved state."""
     t = state.temperature
     m = params.mass
-    zero_t = zero_t_entanglement(params, geometry)
     if regime is Regime.NON_RELATIVISTIC:
         boundary = (math.pi / 6.0) * (geometry.two_volume / m) \
             * state.excited_density
         s_density = _nr_entropy_density(t, m, state.z_nr, acc)
     else:
-        gap = m - abs(state.mu)
-        boundary = (math.pi / 6.0) * geometry.two_volume \
-            * _boundary_integral_rel_gap(t, m, gap, acc)
-        beta = 1.0 / t
         a = abs(state.mu)
-
-        def integrand(p: np.ndarray) -> np.ndarray:
-            omega, below = _gap_frequencies(m, a, p)
-            return (_entropy_weight(beta * below)
-                    + _entropy_weight(beta * (omega + a)))
-
-        pts, scale = _thermal_grid(params, t, a)
-        s_density = integrate_radial(RadialIntegralSpec(
-            3, integrand, singular_points=pts, accuracy=acc,
-            tail_scale=scale))
-    extensive = -0.5 * geometry.subsystem_volume * s_density
-    return EntropyReport(
-        zero_t_part=zero_t,
-        boundary_thermal_part=boundary,
-        extensive_thermal_part=extensive,
-        geometric_entropy=zero_t + boundary + extensive,
-        mutual_information=zero_t + boundary,
-    )
+        boundary = (math.pi / 6.0) * geometry.two_volume \
+            * _occupation_integral(3, m, t, a, _boundary_charged, acc)
+        s_density = _occupation_integral(3, m, t, a, _entropy_charged, acc)
+    return _entropy_report(zero_t_entanglement(params, geometry), boundary,
+                           -0.5 * geometry.subsystem_volume * s_density)
 
 
 def mutual_info_at_fixed_charge(params: ModelParams, geometry: Geometry,
@@ -760,7 +755,8 @@ def discontinuity_estimate(params: ModelParams, geometry: Geometry,
         coeff = math.pi / 6.0 * v2
 
         def f_below(t: float) -> float:
-            return coeff * _boundary_integral_rel_gap(t, m, 0.0, tight)
+            return coeff * _occupation_integral(3, m, t, m,
+                                                _boundary_charged, tight)
 
         solved: dict[float, float] = {}     # T -> sqrt(gap), above T_C
 
@@ -771,9 +767,10 @@ def discontinuity_estimate(params: ModelParams, geometry: Geometry,
             if solved:
                 near = min(solved, key=lambda s: abs(s - t))
                 u_guess = solved[near] * (t - tc) / (near - tc)
-            gap = _solve_rel(t, rho_abs, m, tight, 3e-13, u_guess)[0]
+            gap, a = _solve_rel(t, rho_abs, m, tight, 3e-13, u_guess)[:2]
             solved[t] = math.sqrt(gap)
-            return coeff * _boundary_integral_rel_gap(t, m, gap, tight)
+            return coeff * _occupation_integral(3, m, t, a,
+                                                _boundary_charged, tight)
 
         analytic = -(math.pi * math.sqrt(3.0) / 9.0) * v2 \
             * math.sqrt(rho_abs / m)

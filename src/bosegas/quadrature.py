@@ -139,7 +139,8 @@ def _adaptive(panels: Sequence[_Panel], acc: AccuracyBudget,
 
     The panels may carry different integrands (finite-range pieces and a
     mapped tail share one error budget).  Returns (value, error estimate);
-    raises QuadratureError if the split budget runs out above tolerance.
+    raises QuadratureError if the split budget runs out above tolerance,
+    with the partial value and its relative error estimate.
     """
     heap: list = []            # (-err, seq, f, a, b, value, err)
     seq = 0
@@ -167,14 +168,16 @@ def _adaptive(panels: Sequence[_Panel], acc: AccuracyBudget,
                 raise QuadratureError(
                     f"quadrature stalled on unsplittable panels at {where}; "
                     f"achieved {total_err:.3e} vs target {target:.3e}",
-                    estimate=total_val, achieved=total_err)
+                    estimate=total_val,
+                    achieved=total_err / max(abs(total_val), _TINY_TOTAL))
             return total_val, total_err
         if splits >= acc.max_subdivisions:
             raise QuadratureError(
                 f"quadrature needed more than {acc.max_subdivisions} "
                 f"subdivisions at {where}; achieved error {total_err:.3e} "
                 f"vs target {target:.3e}",
-                estimate=total_val, achieved=total_err)
+                estimate=total_val,
+                achieved=total_err / max(abs(total_val), _TINY_TOTAL))
         _, _, f, a, b, v, e = heapq.heappop(heap)
         val_sum -= v
         err_sum -= e
@@ -267,8 +270,12 @@ def _integrate_radial_report(spec: RadialIntegralSpec) -> tuple[float, float]:
         panels.append((vec_radial, lo, hi))
     panels.append((_VectorizedCallable(tail), 0.0, 1.0))
 
-    value, err = _adaptive(panels, spec.accuracy, "p")
     angular = _solid_angle(dim)
+    try:
+        value, err = _adaptive(panels, spec.accuracy, "p")
+    except QuadratureError as exc:
+        exc.estimate *= angular     # the partial value of the full integral
+        raise
     return angular * value, angular * err
 
 

@@ -41,6 +41,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -216,26 +217,62 @@ def _gap_frequencies(mass: float, a: float, p: np.ndarray):
 
     For ``a`` close to the mass, ``omega - a`` loses all precision if formed
     directly; ``(p^2 + g (m + a)) / (omega + a)`` with ``g = m - a`` is
-    exact.
+    exact.  At ``a = 0`` the lower branch is omega itself.
     """
     omega = np.sqrt(p * p + mass * mass)
+    if a == 0.0:
+        return omega, omega
     g = mass - a
     below = (p * p + g * (mass + a)) / (omega + a)
     return omega, below
 
 
-def _thermal_grid(params: ModelParams, temperature: float, a: float
+def _thermal_grid(mass: float, temperature: float, a: float
                   ) -> tuple[tuple[float, ...], float]:
     """Breakpoints and tail decay scale for occupation-weighted integrals."""
-    m = params.mass
-    pts: list[float] = []
-    if a > 0.0:
-        g = m - a
-        pk = math.sqrt(max(g, 0.0) * (m + a))   # momentum of the gap knee
-        if 0.0 < pk:
-            pts += [pk, 10.0 * pk]
-    scale = max(temperature, math.sqrt(m * temperature))
-    return tuple(sorted(pts)), scale
+    pk = math.sqrt(max(mass - a, 0.0) * (mass + a))   # momentum of the knee
+    pts = (pk, 10.0 * pk) if a > 0.0 and pk > 0.0 else ()
+    return pts, max(temperature, math.sqrt(mass * temperature))
+
+
+def _occupation_integral(dimension: int, mass: float, temperature: float,
+                         a: float, moment: Callable, acc: AccuracyBudget
+                         ) -> float:
+    """int d^Dp/(2pi)^D moment(beta (omega - a), beta (omega + a), omega).
+
+    ``a = |mu|`` in [0, m] and beta = 1/T; the first argument is formed
+    cancellation-free (see ``_gap_frequencies``).  Every occupation
+    integral of ``thermo`` and ``condensate`` goes through here.
+    """
+    beta = 1.0 / temperature
+
+    def integrand(p: np.ndarray) -> np.ndarray:
+        omega, below = _gap_frequencies(mass, a, p)
+        return moment(beta * below, beta * (omega + a), omega)
+
+    pts, scale = _thermal_grid(mass, temperature, a)
+    return integrate_radial(RadialIntegralSpec(
+        dimension, integrand, singular_points=pts, accuracy=acc,
+        tail_scale=scale))
+
+
+def _boundary_charged(x_minus, x_plus, omega):
+    """Boundary moment [n(omega - a) + n(omega + a)] / omega."""
+    return (_bose(x_minus) + _bose(x_plus)) / omega
+
+
+def _entropy_charged(x_minus, x_plus, _omega):
+    """Entropy-density moment of the particle and antiparticle modes."""
+    return _entropy_weight(x_minus) + _entropy_weight(x_plus)
+
+
+# Field kind -> (boundary moment, entropy moment).  The neutral field is
+# one species at a = 0, where x_minus is beta omega.
+_MOMENTS = {
+    FieldKind.NEUTRAL_REAL: (lambda x, _x_plus, omega: _bose(x) / omega,
+                             lambda x, _x_plus, _omega: _entropy_weight(x)),
+    FieldKind.CHARGED_COMPLEX: (_boundary_charged, _entropy_charged),
+}
 
 
 def _validate_point(params: ModelParams, point: ThermalPoint) -> float:
@@ -255,31 +292,6 @@ def _validate_point(params: ModelParams, point: ThermalPoint) -> float:
 # Entropy pieces
 # ----------------------------------------------------------------------
 
-def _entropy_density(params: ModelParams, temperature: float, a: float,
-                     acc: AccuracyBudget) -> float:
-    """Extensive entropy density for one relativistic Bose species pair.
-
-    Neutral field (a = 0): single species.  Charged field: particle plus
-    antiparticle at chemical potential +/- a.
-    """
-    beta = 1.0 / temperature
-    m = params.mass
-    charged = params.field_kind is FieldKind.CHARGED_COMPLEX
-
-    def integrand(p: np.ndarray) -> np.ndarray:
-        omega, below = _gap_frequencies(m, a, p)
-        if charged:
-            return (_entropy_weight(beta * below)
-                    + _entropy_weight(beta * (omega + a)))
-        return _entropy_weight(beta * omega)
-
-    pts, scale = _thermal_grid(params, temperature, a)
-    spec = RadialIntegralSpec(params.dimension, integrand,
-                              singular_points=pts, accuracy=acc,
-                              tail_scale=scale)
-    return integrate_radial(spec)
-
-
 def thermal_entropy(params: ModelParams, geometry: Geometry,
                     point: ThermalPoint,
                     acc: AccuracyBudget = DEFAULT_BUDGET) -> float:
@@ -292,8 +304,9 @@ def thermal_entropy(params: ModelParams, geometry: Geometry,
     if point.chemical_potential != 0.0:
         raise ValueError("thermal_entropy is defined at mu = 0; "
                          "use the charged-field report for mu != 0")
-    return geometry.subsystem_volume * _entropy_density(
-        params, point.temperature, 0.0, acc)
+    return geometry.subsystem_volume * _occupation_integral(
+        params.dimension, params.mass, point.temperature, 0.0,
+        _MOMENTS[params.field_kind][1], acc)
 
 
 def zero_t_entanglement(params: ModelParams, geometry: Geometry) -> float:
@@ -313,36 +326,9 @@ def zero_t_entanglement(params: ModelParams, geometry: Geometry) -> float:
     return value
 
 
-def _boundary_integral(params: ModelParams, temperature: float, a: float,
-                       acc: AccuracyBudget) -> float:
-    """Occupation integral int d^Dp/(2pi)^D n/omega (both species if a-ware)."""
-    beta = 1.0 / temperature
-    m = params.mass
-    charged = params.field_kind is FieldKind.CHARGED_COMPLEX
-
-    def integrand(p: np.ndarray) -> np.ndarray:
-        omega, below = _gap_frequencies(m, a, p)
-        if charged:
-            occ = _bose(beta * below) + _bose(beta * (omega + a))
-        else:
-            occ = _bose(beta * omega)
-        return occ / omega
-
-    pts, scale = _thermal_grid(params, temperature, a)
-    spec = RadialIntegralSpec(params.dimension, integrand,
-                              singular_points=pts, accuracy=acc,
-                              tail_scale=scale)
-    return integrate_radial(spec)
-
-
-def _assemble_report(params: ModelParams, geometry: Geometry,
-                     point: ThermalPoint, a: float,
-                     acc: AccuracyBudget) -> EntropyReport:
-    zero_t = zero_t_entanglement(params, geometry)
-    boundary = (math.pi / 3.0) * geometry.boundary_area * _boundary_integral(
-        params, point.temperature, a, acc)
-    extensive = -0.5 * geometry.subsystem_volume * _entropy_density(
-        params, point.temperature, a, acc)
+def _entropy_report(zero_t: float, boundary: float,
+                    extensive: float) -> EntropyReport:
+    """The report with its two sums formed from the three parts."""
     return EntropyReport(
         zero_t_part=zero_t,
         boundary_thermal_part=boundary,
@@ -350,6 +336,19 @@ def _assemble_report(params: ModelParams, geometry: Geometry,
         geometric_entropy=zero_t + boundary + extensive,
         mutual_information=zero_t + boundary,
     )
+
+
+def _assemble_report(params: ModelParams, geometry: Geometry,
+                     point: ThermalPoint, a: float,
+                     acc: AccuracyBudget) -> EntropyReport:
+    boundary_moment, entropy_moment = _MOMENTS[params.field_kind]
+    args = (params.dimension, params.mass, point.temperature, a)
+    return _entropy_report(
+        zero_t_entanglement(params, geometry),
+        (math.pi / 3.0) * geometry.boundary_area
+        * _occupation_integral(*args, boundary_moment, acc),
+        -0.5 * geometry.subsystem_volume
+        * _occupation_integral(*args, entropy_moment, acc))
 
 
 def mutual_info_neutral(params: ModelParams, geometry: Geometry,
@@ -424,7 +423,7 @@ def boundary_thermal_matsubara(params: ModelParams, geometry: Geometry,
 
         return sum_bilateral(term, sum_acc) - 0.5 * beta / omega
 
-    pts, scale = _thermal_grid(params, point.temperature, a)
+    pts, scale = _thermal_grid(m, point.temperature, a)
     spec = RadialIntegralSpec(params.dimension, summed,
                               singular_points=pts, accuracy=acc,
                               tail_scale=scale)

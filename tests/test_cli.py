@@ -4,6 +4,7 @@ Every invocation goes through ``main(argv)`` in-process; outputs are
 parsed back and cross-checked against direct library calls.
 """
 
+import argparse
 import json
 import math
 
@@ -280,6 +281,22 @@ class TestOutputPlumbing:
         code = main(["tc", "--charge-density", "1.0", "--regime", "nr",
                      "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
+
+
+class TestFlagsAndKeys:
+    def test_each_config_key_has_exactly_one_flag(self):
+        attrs = [attr for attr, _parse in cli._CONFIG_KEYS.values()]
+        assert len(set(attrs)) == len(attrs)      # one key per attribute
+        parser = cli.build_parser()
+        subs = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        for name in ("mutual-info", "entropy", "mu-solve", "tc",
+                     "discontinuity"):
+            dests = [a.dest for a in subs.choices[name]._actions
+                     if a.dest not in ("help", "config")]
+            assert sorted(dests) == sorted(attrs), name
+        args = parser.parse_args(["entropy", "--dim", "2"])
+        assert cli._build_config(args).dimension == 2
 
 
 class TestUsage:

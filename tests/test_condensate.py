@@ -14,10 +14,11 @@ relativistic root solves spend; the counts are deterministic.
 """
 
 import math
+import warnings
 
 import pytest
 
-from bosegas import condensate
+from bosegas import thermo
 from bosegas.condensate import (ChargeSpec, CondensateState, Phase, Regime,
                                 charge_density_rel, critical_temperature,
                                 discontinuity_estimate, excited_density_nr,
@@ -141,6 +142,16 @@ class TestCriticalTemperature:
         cap = charge_density_rel(ThermalPoint(tc, 1.0), 1.0)
         assert rel(cap, 1.0e-12) < 1e-9
 
+    def test_rel_ultra_relativistic_density(self):
+        # rho = 1e12, T_C ~ 1.7e6 m: n(omega - m) - n(omega + m) would be
+        # a difference of two terms ~1e6 times larger; the charge moment
+        # n_- (1 + n_+) (1 - e^(-2m/T)) keeps the capacity accurate.
+        # Capacity m T^2/3 + m^3/(12 pi^2) at high T fixes T_C.
+        rho, m = 1.0e12, 1.0
+        tc = critical_temperature(rel_charge(rho), m)
+        expected = math.sqrt(3.0 * (rho - m ** 3 / (12.0 * math.pi ** 2)) / m)
+        assert rel(tc, expected) < 1e-11
+
 
 class TestSolveChemicalPotential:
     def test_nr_condensed_fraction(self):
@@ -195,6 +206,35 @@ class TestSolveChemicalPotential:
         assert 0.0 < state.mu < 1.0
         back = charge_density_rel(ThermalPoint(1.1 * tc, state.mu), 1.0)
         assert rel(back, 1.0e4) < 1e-9
+
+    def test_rel_gas_far_above_tc(self):
+        # T = 1e4 m, rho = 1: |mu| ~ 3e-8 m, below what sqrt(m - |mu|)
+        # resolves, and the charge moment is a 6e-12 fraction of each
+        # occupation.  High-T expansion: rho = mu T^2/3 - mu m T/(2 pi)
+        # + O(mu m^2).
+        t, m, rho = 1.0e4, 1.0, 1.0
+        state = solve_chemical_potential(t, rel_charge(rho), m)
+        assert state.phase is Phase.GAS
+        assert 0.0 < state.mu <= m
+        back = charge_density_rel(ThermalPoint(t, state.mu), m)
+        assert rel(back, rho) < 1e-9
+        expected = 3.0 * rho / (t * t * (1.0 - 1.5 * m / (math.pi * t)))
+        assert rel(state.mu, expected) < 1e-6
+
+    def test_nr_gap_above_mass_warns(self):
+        # T = 1e6 m: the NR gas solution has m - |mu| ~ 1.8e7 m
+        with pytest.warns(UserWarning, match=r"\|mu\| > m"):
+            state = solve_chemical_potential(1.0e6, nr_charge(), 1.0)
+        assert state.mu < -1.0
+        with pytest.warns(UserWarning, match=r"\|mu\| > m"):
+            table = sweep(charged_params(), GEO, nr_charge(), [1.0e6])
+        assert table.rows[0].mu == state.mu
+        # a dilute NR gas just above T_C stays well inside |mu| <= m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cool = solve_chemical_potential(1.45 * tc_nr(1.0e-4),
+                                            nr_charge(1.0e-4), 1.0)
+        assert 0.0 < cool.mu < 1.0
 
     def test_negative_charge_mirrors(self):
         tc = tc_nr()
@@ -372,13 +412,13 @@ class TestRootSolveWork:
     @pytest.fixture
     def integrals(self, monkeypatch):
         calls = [0]
-        inner = condensate.integrate_radial
+        inner = thermo.integrate_radial    # every occupation integral
 
         def counted(spec):
             calls[0] += 1
             return inner(spec)
 
-        monkeypatch.setattr(condensate, "integrate_radial", counted)
+        monkeypatch.setattr(thermo, "integrate_radial", counted)
         return calls
 
     def test_rel_tc(self, integrals):

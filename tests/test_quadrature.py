@@ -143,6 +143,27 @@ class TestIntegrateRadial:
         assert math.isfinite(excinfo.value.estimate)
         assert math.isfinite(excinfo.value.achieved)
 
+        # The partial estimate is of the full D-dimensional integral (the
+        # angular factor included), and ``achieved`` is relative: scaling
+        # the integrand scales the estimate and leaves ``achieved`` alone.
+        def f(p):
+            return np.exp(-p) / (1.0 + p * p)
+        starved = AccuracyBudget(relative_tolerance=1e-13,
+                                 max_subdivisions=1)
+        for dim in (1, 3):
+            exact = integrate_radial(RadialIntegralSpec(dim, f))
+            raised = []
+            for scale in (1.0, 1e6):
+                spec = RadialIntegralSpec(dim, lambda p: scale * f(p),
+                                          accuracy=starved)
+                with pytest.raises(QuadratureError) as excinfo:
+                    integrate_radial(spec)
+                raised.append(excinfo.value)
+            assert rel(raised[0].estimate, exact) < 1e-4
+            assert rel(raised[1].estimate, 1e6 * exact) < 1e-4
+            assert 1e-13 < raised[0].achieved < 1e-2
+            assert rel(raised[1].achieved, raised[0].achieved) < 1e-6
+
     def test_non_finite_integrand_rejected(self):
         def bad(p):
             return np.where(p > 1.0, np.nan, np.exp(-p))
