@@ -12,7 +12,8 @@ radial profile, with the angular factor applied by the engine.  The domain
 is split at caller-declared breakpoints (integrable endpoint singularities
 are fine because the Gauss-Kronrod rule is open), and the semi-infinite
 tail is mapped to the unit interval by :math:`p = p_\text{last} -
-s\,\ln u` with a caller-tunable decay scale ``s``.
+s\,\ln u` with a caller-tunable scale ``s`` (at least twice the tail's
+decay length; see ``RadialIntegralSpec.tail_scale``).
 
 ``sum_bilateral`` evaluates :math:`\sum_{k=-\infty}^{\infty} g(k)` by direct
 symmetric summation plus an Euler-Maclaurin midpoint tail correction, so
@@ -163,21 +164,18 @@ def _adaptive(panels: Sequence[_Panel], acc: AccuracyBudget,
         total_val = frozen_val + val_sum
         total_err = frozen_err + err_sum
         target = max(acc.relative_tolerance * abs(total_val), _TINY_TOTAL)
-        if total_err <= target or not heap:
-            if total_err > target:
-                raise QuadratureError(
-                    f"quadrature stalled on unsplittable panels at {where}; "
-                    f"achieved {total_err:.3e} vs target {target:.3e}",
-                    estimate=total_val,
-                    achieved=total_err / max(abs(total_val), _TINY_TOTAL))
+        if total_err <= target:
             return total_val, total_err
-        if splits >= acc.max_subdivisions:
+        if not heap or splits >= acc.max_subdivisions:
+            # Both printed numbers are relative to |total_val|, as is
+            # ``achieved``.
+            norm = max(abs(total_val), _TINY_TOTAL)
+            cause = ("stalled on unsplittable panels" if not heap else
+                     f"needed more than {acc.max_subdivisions} subdivisions")
             raise QuadratureError(
-                f"quadrature needed more than {acc.max_subdivisions} "
-                f"subdivisions at {where}; achieved error {total_err:.3e} "
-                f"vs target {target:.3e}",
-                estimate=total_val,
-                achieved=total_err / max(abs(total_val), _TINY_TOTAL))
+                f"quadrature {cause} at {where}; achieved relative error "
+                f"{total_err / norm:.3e} vs target {target / norm:.3e}",
+                estimate=total_val, achieved=total_err / norm)
         _, _, f, a, b, v, e = heapq.heappop(heap)
         val_sum -= v
         err_sum -= e
@@ -216,9 +214,13 @@ class RadialIntegralSpec:
     accuracy : AccuracyBudget
         Relative tolerance and subdivision cap.
     tail_scale : float
-        Decay length s of the tail map p = p_last - s ln u.  Choose s of
-        order the integrand's large-p decay length (for thermal occupations
-        that is the temperature); default 1.0.
+        Scale s of the tail map p = p_last - s ln u; default 1.0.  Choose
+        s of at least twice the integrand's large-p decay length L (for
+        thermal occupations L = max(T, sqrt(m T))).  A tail e^(-p/L) maps
+        to u^(s/L - 1) (p_last - s ln u)^(D-1): at s = 2 L that vanishes
+        at u = 0, while s = L leaves a ln^(D-1) u endpoint singularity that
+        the adaptive rule can only bisect towards, spending most of its
+        panels next to u = 0.
     """
 
     dimension: int

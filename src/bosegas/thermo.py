@@ -229,10 +229,30 @@ def _gap_frequencies(mass: float, a: float, p: np.ndarray):
 
 def _thermal_grid(mass: float, temperature: float, a: float
                   ) -> tuple[tuple[float, ...], float]:
-    """Breakpoints and tail decay scale for occupation-weighted integrals."""
-    pk = math.sqrt(max(mass - a, 0.0) * (mass + a))   # momentum of the knee
-    pts = (pk, 10.0 * pk) if a > 0.0 and pk > 0.0 else ()
-    return pts, max(temperature, math.sqrt(mass * temperature))
+    """Breakpoints and tail scale for occupation-weighted integrals.
+
+    An occupation n(beta (omega - a)) bends at the knee
+    p0 = sqrt((m - a)(m + a)), where the gap m - a stops dominating
+    omega - a (p0 = m at a = 0; at a = m, where the formula gives 0,
+    p0 = m too), and decays like e^(-p/L) beyond L = max(T, sqrt(m T)).
+    Near T_C the knee sits many decades below L, and the integrand
+    changes shape in every decade between them, so there is one
+    breakpoint per decade, p0 * 10^k for every k >= 0 with p0 * 10^k < L.
+
+    The tail starts at the last breakpoint (at 0 when none lies below L)
+    with scale s = 2 L.  The map p = p_last - s ln u turns e^(-p/L) into
+    u^(s/L - 1) times the power of ln u from the measure: with s = 2 L
+    that is u ln^2 u in D = 3, which vanishes at u = 0, while s = L
+    leaves a ln^2 u endpoint singularity that the adaptive rule can only
+    bisect towards.
+    """
+    decay = max(temperature, math.sqrt(mass * temperature))
+    p0 = math.sqrt(max(mass - a, 0.0) * (mass + a)) or mass
+    pts = []
+    while p0 < decay:
+        pts.append(p0)
+        p0 *= 10.0
+    return tuple(pts), 2.0 * decay
 
 
 def _occupation_integral(dimension: int, mass: float, temperature: float,

@@ -395,6 +395,20 @@ class TestDiscontinuity:
         assert result.stencil_orders["left"]["converged"]
         assert result.stencil_orders["right"]["converged"]
 
+    @pytest.mark.filterwarnings("ignore:sign finding")
+    @pytest.mark.parametrize("rho", [1.0e5, 1.0e6])
+    def test_rel_jump_magnitude_at_high_density(self, rho):
+        # The right stencil differences I_m over steps down to h ~ 3e-9
+        # T_C, so it settles only when every integral meets its rtol.
+        result = discontinuity_estimate(
+            charged_params(), GEO, rel_charge(rho),
+            AccuracyBudget(relative_tolerance=1e-8))
+        closed_form = math.pi * math.sqrt(3.0) / 9.0 * math.sqrt(rho)
+        assert rel(abs(result.jump), closed_form) < 1e-3
+        assert rel(abs(result.analytic_jump), closed_form) < 1e-12
+        if rho == 1.0e5:
+            assert result.stencil_orders["right"]["levels"] == 5
+
 
 class TestStateShape:
     def test_state_fields(self):
@@ -405,7 +419,11 @@ class TestStateShape:
 
 
 class TestRootSolveWork:
-    """Radial integrals spent by the relativistic fixed-charge solves."""
+    """Work spent by the relativistic fixed-charge solves.
+
+    Radial integrals count the root solves' work, GK15 panels the work of
+    the quadrature grid inside each integral; both are deterministic.
+    """
 
     CLI_ACC = AccuracyBudget(relative_tolerance=1e-8)   # CLI default --rtol
 
@@ -425,7 +443,7 @@ class TestRootSolveWork:
         critical_temperature(rel_charge(1.0e4), 1.0)
         assert integrals[0] <= 10
 
-    def test_rel_sweep(self, integrals):
+    def test_rel_sweep(self, integrals, gk15_panels):
         # mutual-info --charge-density 1e4 --regime rel --tmin 100
         # --tmax 300 --points 40
         temps = [100.0 + 200.0 * i / 39 for i in range(40)]
@@ -433,12 +451,23 @@ class TestRootSolveWork:
                       self.CLI_ACC)
         assert all(row.error is None for row in table.rows)
         assert integrals[0] < 450
+        assert gk15_panels[0] <= 12_000
 
     @pytest.mark.filterwarnings("ignore:sign finding")
-    def test_rel_discontinuity(self, integrals):
+    def test_rel_discontinuity(self, integrals, gk15_panels):
         discontinuity_estimate(charged_params(), GEO, rel_charge(1.0e4),
                                self.CLI_ACC)
         assert integrals[0] < 170
+        assert gk15_panels[0] <= 6_000
+
+    @pytest.mark.parametrize("temp,gap", [(170.0, 1e-4), (300.0, 0.0),
+                                          (1000.0, 0.1), (20.0, 1e-8)])
+    def test_rel_density_panels(self, gk15_panels, temp, gap):
+        # one charge-density integral at the root solves' budget (rtol
+        # 1e-12, 4000 subdivisions), near and far from the knee
+        charge_density_rel(ThermalPoint(temp, 1.0 - gap), 1.0,
+                           AccuracyBudget(relative_tolerance=1e-12))
+        assert gk15_panels[0] <= 70
 
 
 class TestRefinedSweepRows:
@@ -468,3 +497,4 @@ class TestRefinedSweepRows:
                     ThermalPoint(row.temperature, row.mu), 1.0)
                 assert rel(back, rho) < 1e-9
         assert gas >= 5
+

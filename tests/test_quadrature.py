@@ -164,6 +164,23 @@ class TestIntegrateRadial:
             assert 1e-13 < raised[0].achieved < 1e-2
             assert rel(raised[1].achieved, raised[0].achieved) < 1e-6
 
+    def test_error_message_prints_relative_numbers(self):
+        # The message prints ``achieved`` and the relative target, so it
+        # reads the same whatever the integrand's scale or the angular
+        # factor.
+        for scale in (1.0, 1e6):
+            spec = RadialIntegralSpec(
+                3, lambda p: scale * np.exp(-p) / (1.0 + p * p),
+                accuracy=AccuracyBudget(relative_tolerance=1e-13,
+                                        max_subdivisions=1))
+            with pytest.raises(QuadratureError) as excinfo:
+                integrate_radial(spec)
+            exc = excinfo.value
+            message = str(exc)
+            assert "more than 1 subdivisions" in message
+            assert (f"achieved relative error {exc.achieved:.3e} "
+                    f"vs target {1e-13:.3e}") in message
+
     def test_non_finite_integrand_rejected(self):
         def bad(p):
             return np.where(p > 1.0, np.nan, np.exp(-p))

@@ -282,3 +282,125 @@ class TestAccuracyPlumbing:
             params, GEO, pt, acc=AccuracyBudget(relative_tolerance=1e-6))
         assert rel(loose.boundary_thermal_part,
                    tight.boundary_thermal_part) < 1e-5
+
+
+def _report(dim, kind, mass, temp, mu, rtol):
+    """Entropy report of the CLI's fixed-mu row at the given rtol."""
+    if kind == "neutral":
+        return mutual_info_neutral(neutral(mass, dim, 1e4 * mass), GEO,
+                                   ThermalPoint(temp), AccuracyBudget(rtol))
+    return mutual_info_charged(charged(mass, dim, 1e4 * mass), GEO,
+                               ThermalPoint(temp, mu), AccuracyBudget(rtol))
+
+
+def _mpmath_boundary(mpmath, dim, kind, mass, temp, mu):
+    """(pi/3) int d^Dp/(2pi)^D occupation/omega in mpmath, over ln p.
+
+    In s = ln p every decade of momentum has the same width, so one
+    tanh-sinh piece spans the decades from below the knee to the decay
+    length L; nothing here shares code with the library's grid.
+    """
+    mp = mpmath.mp
+    knee = math.sqrt((mass - abs(mu)) * (mass + abs(mu))) or mass
+    decay = max(temp, math.sqrt(mass * temp))
+    with mpmath.workdps(20):
+        m, t, a = mp.mpf(mass), mp.mpf(temp), mp.mpf(abs(mu))
+        gap2 = (m - a) * (m + a)
+
+        def f(s):
+            p = mp.exp(s)
+            omega = mp.sqrt(p * p + m * m)
+            occ = 1 / mp.expm1((p * p + gap2) / (omega + a) / t)
+            if kind == "charged":
+                occ += 1 / mp.expm1((omega + a) / t)
+            return occ / omega * p ** dim
+
+        # Beyond p = e^5 L the occupation is below e^-140.
+        value = mp.quad(f, [-mp.inf, mp.log(knee) - 3, mp.log(decay),
+                            mp.log(decay) + 5])
+        solid = {1: 2, 2: 2 * mp.pi, 3: 4 * mp.pi}[dim] / (2 * mp.pi) ** dim
+        return float(mp.pi / 3 * solid * value)
+
+
+class TestMpmathReference:
+    """The boundary part against an independent mpmath quadrature.
+
+    The lattice spans D in {1, 2, 3}, both field kinds, m from 1e-10 to 1,
+    T/m from 0.05 to 1e10 and |mu| -> m.  It holds the fixed-mu inputs
+    that used to exhaust the subdivision budget (a knee many decades below
+    the decay length), and two that a single breakpoint at m gets wrong:
+    D = 1, neutral, m = 1e-10, T = 100 (half the true value) and D = 1,
+    charged, T = 1e10, mu = 1 - 1e-6 (9e-4 off).
+    """
+
+    LATTICE = [
+        # (D, kind, m, T, mu, rtol)
+        (1, "charged", 1.0, 1e8, 1 - 1e-9, 1e-10),
+        (1, "charged", 1.0, 1e10, 1 - 1e-6, 1e-10),
+        (2, "charged", 1.0, 1e8, 1 - 1e-12, 1e-8),
+        (2, "charged", 1.0, 1e10, 1 - 1e-9, 1e-6),
+        (2, "charged", 1.0, 1e8, 1 - 1e-9, 1e-12),
+        (1, "neutral", 1e-10, 100.0, 0.0, 1e-8),
+        (1, "neutral", 1e-10, 1.0, 0.0, 1e-12),
+        (2, "neutral", 1e-10, 1e-9, 0.0, 1e-12),
+        (3, "charged", 1.0, 0.05, 0.999, 1e-12),
+        (2, "neutral", 1.0, 0.05, 0.0, 1e-12),
+        (3, "neutral", 1e-4, 1e3, 0.0, 1e-12),
+        (1, "charged", 1e-4, 10.0, 1e-4 * (1 - 1e-8), 1e-10),
+        (2, "charged", 1e-4, 1.0, -1e-4 * (1 - 1e-6), 1e-10),
+        (3, "charged", 1.0, 1e10, 1.0, 1e-12),
+        (3, "charged", 1.0, 2.0, -(1 - 1e-10), 1e-12),
+        (1, "neutral", 1.0, 30.0, 0.0, 1e-12),
+    ]
+
+    @pytest.mark.parametrize("dim,kind,mass,temp,mu,rtol", LATTICE)
+    def test_boundary_part(self, dim, kind, mass, temp, mu, rtol):
+        mpmath = pytest.importorskip("mpmath")
+        got = _report(dim, kind, mass, temp, mu, rtol).boundary_thermal_part
+        ref = _mpmath_boundary(mpmath, dim, kind, mass, temp, mu)
+        assert rel(got, ref) <= rtol
+
+
+class TestRequestedAccuracy:
+    """Both thermal parts meet the requested rtol on fixed-mu rows.
+
+    Every row of three fixed-mu CLI jobs (``--spacing log``) is compared
+    with a 1e-14 evaluation.  A grid with two breakpoints and a tail scale
+    equal to the decay length missed the rtol by 12x (D = 3 boundary,
+    T = 102.68), 7x (D = 2 boundary, T = 0.2034) and 2x (D = 2 entropy,
+    T = 0.7666).
+    """
+
+    JOBS = [
+        # (D, kind, mu, tmin, tmax, points, rtol)
+        (3, "charged", -0.9999999462425773, 86.39834901525202,
+         204.82826545345486, 6, 1.3118708933315865e-08),
+        (2, "charged", -0.9998755517036252, 0.1465684253894712,
+         1.451039639369183, 8, 5.322295314308725e-08),
+        (2, "neutral", 0.0, 0.406312085437596, 1.446401057873009, 3,
+         5.6845747582028724e-08),
+    ]
+
+    @pytest.mark.parametrize("dim,kind,mu,tmin,tmax,points,rtol", JOBS)
+    def test_both_parts_meet_rtol(self, dim, kind, mu, tmin, tmax, points,
+                                  rtol):
+        for i in range(points):
+            temp = tmin * (tmax / tmin) ** (i / (points - 1))
+            got = _report(dim, kind, 1.0, temp, mu, rtol)
+            ref = _report(dim, kind, 1.0, temp, mu, 1e-14)
+            assert rel(got.boundary_thermal_part,
+                       ref.boundary_thermal_part) <= rtol, temp
+            assert rel(got.extensive_thermal_part,
+                       ref.extensive_thermal_part) <= rtol, temp
+
+
+class TestGridWork:
+    def test_fixed_mu_scan_panels(self, gk15_panels):
+        # entropy --field-kind charged --mu 0.9 --tmin 0.1 --tmax 10
+        # --points 100: 200 integrals
+        params = charged(cutoff=1e4)
+        for i in range(100):
+            point = ThermalPoint(0.1 + 9.9 * i / 99, 0.9)
+            mutual_info_charged(params, GEO, point,
+                                AccuracyBudget(relative_tolerance=1e-8))
+        assert gk15_panels[0] <= 6_000
