@@ -32,6 +32,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -479,10 +480,15 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass through.
         return int(exc.code or 0)

@@ -13,7 +13,10 @@ is split at caller-declared breakpoints (integrable endpoint singularities
 are fine because the Gauss-Kronrod rule is open), and the semi-infinite
 tail is mapped to the unit interval by :math:`p = p_\text{last} -
 s\,\ln u` with a caller-tunable scale ``s`` (at least twice the tail's
-decay length; see ``RadialIntegralSpec.tail_scale``).
+decay length; see ``RadialIntegralSpec.tail_scale``).  The integrand is
+called with 1-D arrays whose length is a multiple of 15 (the nodes of one
+or more panels at once) and must act elementwise; an integrand that only
+takes scalars is called point by point instead.
 
 ``sum_bilateral`` evaluates :math:`\sum_{k=-\infty}^{\infty} g(k)` by direct
 symmetric summation plus an Euler-Maclaurin midpoint tail correction, so
@@ -77,6 +80,7 @@ _WG15[1:14:2] = list(_WG_HALF[:3]) + [_WG_HALF[3]] + list(reversed(_WG_HALF[:3])
 
 _TINY_TOTAL = 1e-300
 _MIN_PANEL_FACTOR = 50.0   # panels narrower than ~50 ulp are not split further
+_EPS = float(np.finfo(float).eps)
 
 
 def _solid_angle(dimension: int) -> float:
@@ -84,6 +88,9 @@ def _solid_angle(dimension: int) -> float:
     omega = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi,
              4: 2.0 * math.pi ** 2}[dimension]
     return omega / (2.0 * math.pi) ** dimension
+
+
+_Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 class _VectorizedCallable:
@@ -109,50 +116,61 @@ class _VectorizedCallable:
         return np.array([float(self._f(float(x))) for x in xs])
 
 
-def _gk15(f: _VectorizedCallable, a: float, b: float,
-          where: str) -> tuple[float, float]:
-    """One Gauss7/Kronrod15 panel: returns (integral, error estimate)."""
-    half = 0.5 * (b - a)
-    center = 0.5 * (a + b)
-    xs = center + half * _XGK
+def _gk15_batch(f: _Integrand, spans: Sequence[tuple[float, float]],
+                where: str) -> list[tuple[float, float]]:
+    """Gauss7/Kronrod15 on each (a, b) of ``spans``, from one call of ``f``.
+
+    Returns one (integral, error estimate) per panel.  Each panel's pair
+    comes from the same float operations on its own 15 values as a
+    one-panel evaluation, so batching does not change a bit of it.
+    """
+    halves = [0.5 * (b - a) for a, b in spans]
+    centers = [0.5 * (a + b) for a, b in spans]
+    xs = (np.array(centers)[:, None]
+          + np.array(halves)[:, None] * _XGK).ravel()
     ys = f(xs)
-    if not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():
         bad = xs[~np.isfinite(ys)][0]
         raise ValueError(
             f"integrand returned a non-finite value at {where} = {bad!r}")
-    resk = float(_WGK @ ys)
-    resg = float(_WG15 @ ys)
-    value = resk * half
-    mean = resk * 0.5
-    resasc = float(_WGK @ np.abs(ys - mean)) * abs(half)
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return value, err
+    out = []
+    for half, y in zip(halves, ys.reshape(-1, 15)):
+        resk = float(_WGK @ y)
+        resg = float(_WG15 @ y)
+        resasc = float(_WGK @ np.abs(y - resk * 0.5)) * abs(half)
+        err = abs((resk - resg) * half)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        out.append((resk * half, err))
+    return out
 
 
-_Panel = tuple[_VectorizedCallable, float, float]
+_Pieces = tuple[_Integrand, Sequence[tuple[float, float]]]
 
 
-def _adaptive(panels: Sequence[_Panel], acc: AccuracyBudget,
+def _adaptive(pieces: Sequence[_Pieces], acc: AccuracyBudget,
               where: str) -> tuple[float, float]:
-    """Globally adaptive GK15 over initial (integrand, lo, hi) panels.
+    """Globally adaptive GK15 over (integrand, [(lo, hi), ...]) pieces.
 
-    The panels may carry different integrands (finite-range pieces and a
-    mapped tail share one error budget).  Returns (value, error estimate);
-    raises QuadratureError if the split budget runs out above tolerance,
-    with the partial value and its relative error estimate.
+    Different integrands may share one error budget (finite-range pieces
+    and a mapped tail).  The initial panels of one integrand are evaluated
+    in one call, and a split evaluates both children in one call; the
+    refinement order (always split the panel of largest error, oldest
+    first on ties) is that of evaluating one panel at a time.  Returns
+    (value, error estimate); raises QuadratureError if the split budget
+    runs out above tolerance, with the partial value and its relative
+    error estimate.
     """
     heap: list = []            # (-err, seq, f, a, b, value, err)
     seq = 0
     val_sum = 0.0
     err_sum = 0.0
-    for f, a, b in panels:
-        v, e = _gk15(f, a, b, where)
-        heapq.heappush(heap, (-e, seq, f, a, b, v, e))
-        seq += 1
-        val_sum += v
-        err_sum += e
+    for f, spans in pieces:
+        for (a, b), (v, e) in zip(spans, _gk15_batch(f, spans, where)):
+            heapq.heappush(heap, (-e, seq, f, a, b, v, e))
+            seq += 1
+            val_sum += v
+            err_sum += e
 
     frozen_val = 0.0
     frozen_err = 0.0
@@ -179,16 +197,16 @@ def _adaptive(panels: Sequence[_Panel], acc: AccuracyBudget,
         _, _, f, a, b, v, e = heapq.heappop(heap)
         val_sum -= v
         err_sum -= e
-        width_floor = max(
-            _MIN_PANEL_FACTOR * np.finfo(float).eps * max(abs(a), abs(b)),
-            1e-320)
+        width_floor = max(_MIN_PANEL_FACTOR * _EPS * max(abs(a), abs(b)),
+                          1e-320)
         if b - a <= width_floor:
             frozen_val += v     # cannot refine further; keep as-is
             frozen_err += e
             continue
         mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            v2, e2 = _gk15(f, lo, hi, where)
+        children = ((a, mid), (mid, b))
+        for (lo, hi), (v2, e2) in zip(children,
+                                      _gk15_batch(f, children, where)):
             heapq.heappush(heap, (-e2, seq, f, lo, hi, v2, e2))
             seq += 1
             val_sum += v2
@@ -206,8 +224,10 @@ class RadialIntegralSpec:
         Spatial dimension D in {1, 2, 3, 4}; the engine supplies the
         angular factor Omega_D / (2 pi)^D and the measure p^(D-1).
     integrand : callable
-        Radial profile f(p).  May accept numpy arrays (preferred) or
-        scalars; must be finite on (0, inf).
+        Radial profile f(p).  Called with 1-D numpy arrays whose length
+        is a multiple of 15 (the nodes of one or more panels), so it must
+        act elementwise; an integrand that rejects arrays is called with
+        one float at a time instead.  Must be finite on (0, inf).
     singular_points : tuple of float
         Nonnegative radii where f has integrable structure; the domain is
         split there and the open rule never samples them exactly.
@@ -252,29 +272,29 @@ def integrate_radial(spec: RadialIntegralSpec) -> float:
 
 def _integrate_radial_report(spec: RadialIntegralSpec) -> tuple[float, float]:
     """integrate_radial plus the achieved absolute error estimate."""
-    dim = spec.dimension
+    power = spec.dimension - 1
     f = _VectorizedCallable(spec.integrand)
     scale = spec.tail_scale
 
     breaks = sorted({0.0, *spec.singular_points})
     p_last = breaks[-1]
 
-    def radial(ps: np.ndarray) -> np.ndarray:
-        return f(ps) * ps ** (dim - 1)
+    def measured(ps: np.ndarray) -> np.ndarray:
+        return f(ps) * ps ** power
+
+    radial = f if power == 0 else measured     # p^0 = 1: skip the product
 
     def tail(us: np.ndarray) -> np.ndarray:
         ps = p_last - scale * np.log(us)
-        return f(ps) * ps ** (dim - 1) * (scale / us)
+        return radial(ps) * (scale / us)
 
-    panels: list[_Panel] = []
-    vec_radial = _VectorizedCallable(radial)
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        panels.append((vec_radial, lo, hi))
-    panels.append((_VectorizedCallable(tail), 0.0, 1.0))
+    spans = list(zip(breaks[:-1], breaks[1:]))
+    pieces = [(radial, spans)] if spans else []
+    pieces.append((tail, [(0.0, 1.0)]))
 
-    angular = _solid_angle(dim)
+    angular = _solid_angle(spec.dimension)
     try:
-        value, err = _adaptive(panels, spec.accuracy, "p")
+        value, err = _adaptive(pieces, spec.accuracy, "p")
     except QuadratureError as exc:
         exc.estimate *= angular     # the partial value of the full integral
         raise
@@ -285,28 +305,25 @@ _V_MIN_TAIL = 1e-12   # truncates the mapped tail at t = a / _V_MIN_TAIL
 
 
 def _em_tail_correction(g: Callable[[float], float], a: float,
-                        acc: AccuracyBudget) -> float:
+                        tail_acc: AccuracyBudget) -> float:
     """Estimate sum over integers k > a of g(k), for half-integer ``a``.
 
     Euler-Maclaurin midpoint form: integral over [a, inf) plus
     g'(a)/24 - 7 g'''(a)/5760, the derivatives taken with integer-offset
     central differences so only lattice values of g are needed.  The
-    integral uses the algebraic map t = a / v over v in [1e-12, 1]; the
-    truncation discards at most a ~1e-12 relative slice for a 1/k^2 tail
-    (below the tail tolerance) and keeps t finite even when the summand
-    decays too slowly, so divergent sums surface as the documented
-    non-convergence error from the checkpoint loop rather than overflow.
+    integral, to the budget ``tail_acc``, uses the algebraic map t = a / v
+    over v in [1e-12, 1]; the truncation discards at most a ~1e-12
+    relative slice for a 1/k^2 tail (below the tail tolerance) and keeps t
+    finite even when the summand decays too slowly, so divergent sums
+    surface as the documented non-convergence error from the checkpoint
+    loop rather than overflow.
     """
     def mapped(vs: np.ndarray) -> np.ndarray:
         ts = a / vs
         return np.array([g(float(t)) for t in ts]) * a / vs ** 2
 
-    tail_acc = AccuracyBudget(
-        relative_tolerance=min(1e-3, 10.0 * acc.relative_tolerance),
-        max_terms=acc.max_terms,
-        max_subdivisions=max(64, acc.max_subdivisions // 4))
-    integral, _ = _adaptive([(_VectorizedCallable(mapped), _V_MIN_TAIL, 1.0)],
-                            tail_acc, "v(sum tail)")
+    integral, _ = _adaptive([(mapped, [(_V_MIN_TAIL, 1.0)])], tail_acc,
+                            "v(sum tail)")
     k = a - 0.5     # last summed integer
     gp = g(k + 1.0) - g(k)
     gppp = g(k + 2.0) - 3.0 * g(k + 1.0) + 3.0 * g(k) - g(k - 1.0)
@@ -323,6 +340,13 @@ def sum_bilateral(term: Callable[[float], float],
     the requested relative tolerance.  The summand must decay at least
     like 1/k^2 and accept non-integer arguments for the tail estimate.
     """
+    def mirrored(t: float) -> float:
+        return term(-t)
+
+    tail_acc = AccuracyBudget(
+        relative_tolerance=min(1e-3, 10.0 * acc.relative_tolerance),
+        max_terms=acc.max_terms,
+        max_subdivisions=max(64, acc.max_subdivisions // 4))
     direct = term(0.0)
     k_max = max(16, acc.max_terms // 2)
     prev_candidate = None
@@ -333,8 +357,8 @@ def sum_bilateral(term: Callable[[float], float],
             k += 1
             direct += term(float(k)) + term(float(-k))
         a = k + 0.5
-        corr = (_em_tail_correction(lambda t: term(t), a, acc)
-                + _em_tail_correction(lambda t: term(-t), a, acc))
+        corr = (_em_tail_correction(term, a, tail_acc)
+                + _em_tail_correction(mirrored, a, tail_acc))
         candidate = direct + corr
         if prev_candidate is not None:
             tol = acc.relative_tolerance * max(abs(candidate), _TINY_TOTAL)

@@ -189,12 +189,14 @@ def dispersion(params: ModelParams, p):
 # ----------------------------------------------------------------------
 
 def _bose(x: np.ndarray) -> np.ndarray:
-    """Bose occupation 1 / (e^x - 1) for x > 0, 0 beyond overflow range."""
+    """Bose occupation 1 / (e^x - 1) for x > 0.
+
+    Exactly 0 from x = 690 up, where the input to expm1 is clamped so that
+    it cannot overflow.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    ok = x < _EXP_BIG
-    out[ok] = 1.0 / np.expm1(x[ok])
-    return out
+    return np.where(x < _EXP_BIG, 1.0 / np.expm1(np.minimum(x, _EXP_BIG)),
+                    0.0)
 
 
 def _entropy_weight(x: np.ndarray) -> np.ndarray:
@@ -204,12 +206,9 @@ def _entropy_weight(x: np.ndarray) -> np.ndarray:
     finite and accurate down to x -> 0, where ln(1 - e^-x) loses digits.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    ok = x < _EXP_BIG
-    xo = x[ok]
+    xo = np.minimum(x, _EXP_BIG)
     n = 1.0 / np.expm1(xo)
-    out[ok] = xo * n + np.log1p(n)
-    return out
+    return np.where(x < _EXP_BIG, xo * n + np.log1p(n), 0.0)
 
 
 def _gap_frequencies(mass: float, a: float, p: np.ndarray):
@@ -219,11 +218,12 @@ def _gap_frequencies(mass: float, a: float, p: np.ndarray):
     directly; ``(p^2 + g (m + a)) / (omega + a)`` with ``g = m - a`` is
     exact.  At ``a = 0`` the lower branch is omega itself.
     """
-    omega = np.sqrt(p * p + mass * mass)
+    p2 = p * p
+    omega = np.sqrt(p2 + mass * mass)
     if a == 0.0:
         return omega, omega
     g = mass - a
-    below = (p * p + g * (mass + a)) / (omega + a)
+    below = (p2 + g * (mass + a)) / (omega + a)
     return omega, below
 
 
@@ -268,7 +268,10 @@ def _occupation_integral(dimension: int, mass: float, temperature: float,
 
     def integrand(p: np.ndarray) -> np.ndarray:
         omega, below = _gap_frequencies(mass, a, p)
-        return moment(beta * below, beta * (omega + a), omega)
+        x_minus = beta * below
+        # At a = 0, omega + a is omega bit for bit: both species share x.
+        x_plus = x_minus if a == 0.0 else beta * (omega + a)
+        return moment(x_minus, x_plus, omega)
 
     pts, scale = _thermal_grid(mass, temperature, a)
     return integrate_radial(RadialIntegralSpec(

@@ -266,6 +266,38 @@ class TestVerify:
         assert "unknown oracle" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may leave state
+    in it that changes the next one."""
+
+    def test_identical_calls_print_identical_bytes(self, capsys):
+        args = ["mutual-info", "--tmin", "0.8", "--tmax", "1.6",
+                "--points", "2"]
+        first = run(capsys, args)
+        assert first[0] == 0
+        assert run(capsys, args) == first
+
+    def test_only_does_not_accumulate(self, capsys, monkeypatch):
+        selections = []
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda selection: selections.append(selection)
+                            or [])
+        assert main(["verify", "--only", "logsum"]) == 0
+        assert main(["verify"]) == 0        # every family
+        assert main(["verify", "--only", "logsum"]) == 0
+        assert selections == [["logsum"], None, ["logsum"]]
+
+    def test_usage_error_leaves_next_call_working(self, capsys):
+        assert main(["mutual-info", "--spacing", "cubic"]) == 2
+        code, out = run(capsys, ["tc", "--charge-density", "1.0",
+                                 "--regime", "nr"])
+        assert code == 0
+        assert parse_csv(out)[1] == ["T_C", "charge_density", "regime"]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestOutputPlumbing:
     def test_out_file_and_determinism(self, tmp_path, capsys):
         args = ["mutual-info", "--tmin", "0.8", "--tmax", "1.6",

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from bosegas import quadrature
 from bosegas.errors import ConvergenceError, QuadratureError
 from bosegas.quadrature import (RadialIntegralSpec, _integrate_radial_report,
                                 integrate_radial, sum_bilateral)
@@ -187,6 +188,50 @@ class TestIntegrateRadial:
         spec = RadialIntegralSpec(dimension=1, integrand=bad)
         with pytest.raises(ValueError, match="non-finite"):
             integrate_radial(spec)
+
+
+def gk15_one_panel(f, a, b):
+    """The Gauss-Kronrod rule on one panel from its own call of ``f``: the
+    reference the batched evaluation must reproduce bit for bit."""
+    half = 0.5 * (b - a)
+    center = 0.5 * (a + b)
+    ys = f(center + half * quadrature._XGK)
+    resk = float(quadrature._WGK @ ys)
+    resg = float(quadrature._WG15 @ ys)
+    resasc = float(quadrature._WGK @ np.abs(ys - resk * 0.5)) * abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, err
+
+
+class TestBatchedPanels:
+    def test_batch_matches_one_panel_rule_bitwise(self):
+        def profile(p):
+            return p * p / np.expm1(np.sqrt(p * p + 1.0) / 0.7)
+        spans = [(0.0, 0.3), (0.3, 1.0), (1.0, 10.0), (10.0, 10.5),
+                 (1e-9, 2e-9)]
+        got = quadrature._gk15_batch(profile, spans, "p")
+        assert got == [gk15_one_panel(profile, a, b) for a, b in spans]
+
+    @pytest.mark.parametrize("points", [(), (0.5, 2.0, 7.0)])
+    def test_one_integrand_call_per_split(self, gk15_panels, points):
+        lengths = []
+
+        def f(p):
+            lengths.append(p.size)
+            return np.exp(-p) / (1.0 + p * p)
+        spec = RadialIntegralSpec(
+            dimension=3, integrand=f, singular_points=points,
+            accuracy=AccuracyBudget(relative_tolerance=1e-12))
+        integrate_radial(spec)
+        # the finite pieces in one call (none without points), the tail
+        initial = [15 * len(points)] if points else []
+        initial.append(15)
+        splits = (gk15_panels[0] - len(points) - 1) // 2
+        assert splits > 0
+        assert lengths == initial + [30] * splits
+        assert sum(lengths) == 15 * gk15_panels[0]
 
 
 class TestSumBilateral:

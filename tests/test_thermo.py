@@ -13,7 +13,7 @@ import pytest
 
 from bosegas.specfun import AccuracyBudget, EULER_GAMMA, gamma_upper
 from bosegas.thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
-                            ThermalPoint, _entropy_weight,
+                            ThermalPoint, _bose, _entropy_weight,
                             boundary_thermal_matsubara,
                             dispersion, high_t_expansion, mutual_info_charged,
                             mutual_info_neutral, thermal_entropy,
@@ -235,6 +235,33 @@ class TestEntropyWeight:
         for x, w in zip(xs, got):
             assert math.isfinite(w)
             assert rel(w, self.REFERENCE[x]) < 1e-15
+
+
+class TestOccupationHelperEdges:
+    """Both helpers against the masked formulas: zero-filled output, the
+    formula applied only where x < 690, so exactly 0 from 690 up."""
+
+    XS = np.array([1e-300, 1e-8, 689.999, 690.0, 709.8, 1e308, math.inf])
+
+    @staticmethod
+    def masked(x, weight):
+        out = np.zeros_like(x)
+        ok = x < 690.0
+        n = 1.0 / np.expm1(x[ok])
+        out[ok] = x[ok] * n + np.log1p(n) if weight else n
+        return out
+
+    @pytest.mark.parametrize("helper, weight",
+                             [(_bose, False), (_entropy_weight, True)])
+    def test_bitwise_masked_values_without_fp_warnings(self, helper, weight):
+        with np.errstate(all="raise"):
+            got = helper(self.XS)
+            one_by_one = [helper(x) for x in self.XS]
+        want = self.masked(self.XS, weight)
+        assert got.tobytes() == want.tobytes()
+        assert np.array(one_by_one).tobytes() == want.tobytes()
+        assert (got[self.XS >= 690.0] == 0.0).all()
+        assert np.isfinite(got).all() and (got[:3] > 0.0).all()
 
 
 class TestMatsubaraRoute:
