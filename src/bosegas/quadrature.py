@@ -279,10 +279,8 @@ def _integrate_radial_report(spec: RadialIntegralSpec) -> tuple[float, float]:
     breaks = sorted({0.0, *spec.singular_points})
     p_last = breaks[-1]
 
-    def measured(ps: np.ndarray) -> np.ndarray:
+    def radial(ps: np.ndarray) -> np.ndarray:
         return f(ps) * ps ** power
-
-    radial = f if power == 0 else measured     # p^0 = 1: skip the product
 
     def tail(us: np.ndarray) -> np.ndarray:
         ps = p_last - scale * np.log(us)

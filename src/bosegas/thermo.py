@@ -268,10 +268,7 @@ def _occupation_integral(dimension: int, mass: float, temperature: float,
 
     def integrand(p: np.ndarray) -> np.ndarray:
         omega, below = _gap_frequencies(mass, a, p)
-        x_minus = beta * below
-        # At a = 0, omega + a is omega bit for bit: both species share x.
-        x_plus = x_minus if a == 0.0 else beta * (omega + a)
-        return moment(x_minus, x_plus, omega)
+        return moment(beta * below, beta * (omega + a), omega)
 
     pts, scale = _thermal_grid(mass, temperature, a)
     return integrate_radial(RadialIntegralSpec(
