@@ -21,9 +21,11 @@ Subcommands
     The identity-oracle suite; one JSON report per line.
 
 Configuration is a flat ``key = value`` file with dotted sections
-(``model.mass = 1.0``); command-line flags override file values.  All
-numbers are serialized with 17 significant digits, and a fixed config
-plus package version produces byte-identical output.
+(``model.mass = 1.0``); command-line flags override file values.  Each
+setting is listed once, in ``_SETTINGS``: its config key, its flag, and
+its parser or allowed values.  All numbers are serialized with 17
+significant digits, and a fixed config plus package version produces
+byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numeric failure (partial rows are still written, flagged per row).
@@ -35,8 +37,8 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .condensate import (ChargeSpec, Regime, critical_temperature,
@@ -49,13 +51,6 @@ from .thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
                      ThermalPoint, mutual_info_charged, mutual_info_neutral)
 
 _UNITS_NOTE = "natural units (hbar = c = kB = 1); entropies in nats"
-
-_REGIMES = {"nr": Regime.NON_RELATIVISTIC, "rel": Regime.RELATIVISTIC,
-            "auto": Regime.AUTO}
-_FIELD_KINDS = {"neutral": FieldKind.NEUTRAL_REAL,
-                "charged": FieldKind.CHARGED_COMPLEX}
-_SPACINGS = ("linear", "log", "tc-refined")
-_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ class RunConfig:
 
     def model(self) -> ModelParams:
         return ModelParams(self.mass, self.dimension, self.resolved_cutoff(),
-                           _FIELD_KINDS[self.field_kind])
+                           FieldKind(self.field_kind))
 
     def geometry(self) -> Geometry:
         return Geometry(boundary_area=self.varea, subsystem_volume=self.vvol,
@@ -94,31 +89,50 @@ class RunConfig:
     def charge(self) -> ChargeSpec | None:
         if self.charge_density is None:
             return None
-        return ChargeSpec(self.charge_density, _REGIMES[self.regime])
+        return ChargeSpec(self.charge_density, Regime(self.regime))
 
     def accuracy(self) -> AccuracyBudget:
         return AccuracyBudget(relative_tolerance=self.rtol)
 
 
-# Config-file key -> (RunConfig field, parser).
-_CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "model.mass": ("mass", float),
-    "model.dimension": ("dimension", int),
-    "model.cutoff": ("cutoff", float),
-    "model.field_kind": ("field_kind", str),
-    "geometry.varea": ("varea", float),
-    "geometry.vvol": ("vvol", float),
-    "geometry.v2": ("v2", float),
-    "point.mu": ("mu", float),
-    "charge.density": ("charge_density", float),
-    "charge.regime": ("regime", str),
-    "grid.tmin": ("tmin", float),
-    "grid.tmax": ("tmax", float),
-    "grid.points": ("points", int),
-    "grid.spacing": ("spacing", str),
-    "tolerances.rtol": ("rtol", float),
-    "output.format": ("format", str),
-    "output.path": ("out", str),
+class _Setting(NamedTuple):
+    """One run setting: its RunConfig field, its flag, and the parser of
+    its value or (for a string setting) its allowed values."""
+
+    attr: str
+    flag: str
+    parse: Callable[[str], object] = str
+    choices: list[str] | None = None
+    help: str | None = None
+    metavar: str | None = None
+
+
+# Config-file key -> setting, in flag order.
+_SETTINGS = {
+    "model.mass": _Setting("mass", "--mass", float),
+    "model.dimension": _Setting("dimension", "--dim", int, metavar="DIM"),
+    "model.cutoff": _Setting("cutoff", "--cutoff", float),
+    "model.field_kind": _Setting("field_kind", "--field-kind", choices=sorted(
+        kind.value for kind in FieldKind)),
+    "point.mu": _Setting("mu", "--mu", float,
+                         help="fixed chemical potential"),
+    "charge.density": _Setting("charge_density", "--charge-density", float),
+    "charge.regime": _Setting("regime", "--regime", choices=sorted(
+        regime.value for regime in Regime)),
+    "grid.tmin": _Setting("tmin", "--tmin", float),
+    "grid.tmax": _Setting("tmax", "--tmax", float),
+    "grid.points": _Setting("points", "--points", int),
+    "grid.spacing": _Setting("spacing", "--spacing",
+                             choices=["linear", "log", "tc-refined"]),
+    "geometry.v2": _Setting("v2", "--v2", float),
+    "geometry.varea": _Setting("varea", "--varea", float),
+    "geometry.vvol": _Setting("vvol", "--vvol", float),
+    "tolerances.rtol": _Setting("rtol", "--rtol", float, help=(
+        "relative quadrature tolerance (default 1e-8); fixed-charge "
+        "root solves tighten it to at most 1e-12, since they stop at a "
+        "charge residual of 1e-10 rho")),
+    "output.format": _Setting("format", "--format", choices=["csv", "json"]),
+    "output.path": _Setting("out", "--out"),
 }
 
 
@@ -137,11 +151,11 @@ def _parse_config_file(path: str) -> dict[str, object]:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        attr, parse = _CONFIG_KEYS[key]
+        setting = _SETTINGS[key]
         try:
-            values[attr] = parse(text.strip())
+            values[setting.attr] = setting.parse(text.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: "
                              f"{exc}") from exc
@@ -152,29 +166,23 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, object] = {}
     if getattr(args, "config", None):
         values.update(_parse_config_file(args.config))
-    # Every config key has one flag whose argparse dest is its attribute.
-    for attr, _parse in _CONFIG_KEYS.values():
-        value = getattr(args, attr, None)
+    # Every setting has one flag whose argparse dest is its attribute.
+    for setting in _SETTINGS.values():
+        value = getattr(args, setting.attr, None)
         if value is not None:
-            values[attr] = value
+            values[setting.attr] = value
     # Fixed-charge physics is defined for the charged field; default the
     # field kind accordingly when a charge density is configured and the
     # user expressed no explicit choice.
     if values.get("charge_density") is not None and "field_kind" not in values:
         values["field_kind"] = "charged"
     config = RunConfig(**values)
-    if config.field_kind not in _FIELD_KINDS:
-        raise ValueError(f"field_kind must be one of "
-                         f"{sorted(_FIELD_KINDS)}, got {config.field_kind!r}")
-    if config.regime not in _REGIMES:
-        raise ValueError(f"regime must be one of {sorted(_REGIMES)}, "
-                         f"got {config.regime!r}")
-    if config.spacing not in _SPACINGS:
-        raise ValueError(f"spacing must be one of {_SPACINGS}, "
-                         f"got {config.spacing!r}")
-    if config.format not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}, "
-                         f"got {config.format!r}")
+    # Flags are checked by argparse; this catches config-file values.
+    for setting in _SETTINGS.values():
+        value = getattr(config, setting.attr)
+        if setting.choices is not None and value not in setting.choices:
+            raise ValueError(f"{setting.attr} must be one of "
+                             f"{setting.choices}, got {value!r}")
     if config.points < 1:
         raise ValueError(f"grid.points must be >= 1, got {config.points}")
     if not (config.tmin > 0.0 and config.tmax > 0.0):
@@ -216,28 +224,15 @@ def _fmt(value: object) -> str:
 
 
 def _meta_common(config: RunConfig, command: str) -> dict[str, object]:
+    """Every setting but the output ones and the unused one of mu and
+    charge, with the cutoff resolved."""
+    unused = ({"mu"} if config.charge_density is not None
+              else {"charge_density", "regime"})
     meta: dict[str, object] = {
-        "command": command,
-        "version": __version__,
-        "units": _UNITS_NOTE,
-        "mass": config.mass,
-        "dimension": config.dimension,
-        "cutoff": config.resolved_cutoff(),
-        "field_kind": config.field_kind,
-        "varea": config.varea,
-        "vvol": config.vvol,
-        "v2": config.v2,
-        "rtol": config.rtol,
-        "tmin": config.tmin,
-        "tmax": config.tmax,
-        "points": config.points,
-        "spacing": config.spacing,
-    }
-    if config.charge_density is not None:
-        meta["charge_density"] = config.charge_density
-        meta["regime"] = config.regime
-    else:
-        meta["mu"] = config.mu
+        field.name: getattr(config, field.name) for field in fields(config)
+        if field.name not in {"format", "out", *unused}}
+    meta.update(command=command, version=__version__, units=_UNITS_NOTE,
+                cutoff=config.resolved_cutoff())
     return meta
 
 
@@ -274,14 +269,34 @@ def _sanitize(message: str) -> str:
 
 _FIXED_MU_CELLS = 6     # numeric columns between (T, mu) and error
 
+_Rows = list[tuple[object, ...]]
+_Table = tuple[dict[str, object], Sequence[str], _Rows, bool]
+
+
+def _rows(grid: Sequence[float], row: Callable[[float], tuple[object, ...]],
+          failed_cells: tuple[object, ...]) -> tuple[_Rows, bool]:
+    """Rows (*row(T), error) per grid temperature, and whether any failed.
+
+    A row whose computation raises is written as (T, *failed_cells,
+    message) instead.
+    """
+    rows: _Rows = []
+    failed = False
+    for t in grid:
+        try:
+            rows.append((*row(t), ""))
+        except (ValueError, ConvergenceError) as exc:
+            failed = True
+            rows.append((t, *failed_cells, _sanitize(str(exc))))
+    return rows, failed
+
 
 def _fixed_mu_rows(config: RunConfig, grid: Sequence[float],
                    cells: Callable[[EntropyReport], tuple[float, ...]]
-                   ) -> tuple[list[tuple[object, ...]], bool]:
+                   ) -> tuple[_Rows, bool]:
     """Rows (T, mu, *cells(report), error) at the fixed chemical potential.
 
-    Returns the rows and whether any of them failed; a failed row carries
-    NaN in every ``cells`` column.
+    A failed row carries NaN in every ``cells`` column.
     """
     params = config.model()
     geometry = config.geometry()
@@ -289,20 +304,12 @@ def _fixed_mu_rows(config: RunConfig, grid: Sequence[float],
     report = (mutual_info_neutral
               if params.field_kind is FieldKind.NEUTRAL_REAL
               else mutual_info_charged)
-    rows: list[tuple[object, ...]] = []
-    failed = False
-    for t in grid:
-        try:
-            rep = report(params, geometry, ThermalPoint(t, config.mu), acc)
-            rows.append((t, config.mu, *cells(rep), ""))
-        except (ValueError, ConvergenceError) as exc:
-            failed = True
-            rows.append((t, config.mu, *[float("nan")] * _FIXED_MU_CELLS,
-                         _sanitize(str(exc))))
-    return rows, failed
+    return _rows(grid, lambda t: (t, config.mu, *cells(
+        report(params, geometry, ThermalPoint(t, config.mu), acc))),
+        (config.mu, *[float("nan")] * _FIXED_MU_CELLS))
 
 
-def _cmd_mutual_info(config: RunConfig) -> int:
+def _cmd_mutual_info(config: RunConfig) -> _Table:
     charge = config.charge()
     acc = config.accuracy()
     tc = (None if charge is None
@@ -315,24 +322,19 @@ def _cmd_mutual_info(config: RunConfig) -> int:
         rows, failed = _fixed_mu_rows(config, grid, lambda rep: (
             0.0, 0.0, rep.mutual_information, rep.boundary_thermal_part,
             rep.geometric_entropy, -2.0 * rep.extensive_thermal_part))
-    else:
-        table = sweep(config.model(), config.geometry(), charge, grid, acc,
-                      tc=tc)
-        meta["critical_temperature"] = float(
-            table.metadata["critical_temperature"])
-        meta["resolved_regime"] = table.metadata["regime"]
-        rows = [(r.temperature, r.mu, r.excited_density,
-                 r.condensate_density, r.mutual_information,
-                 r.boundary_thermal_part, r.geometric_entropy,
-                 r.thermal_entropy,
-                 "" if r.error is None else _sanitize(r.error))
-                for r in table.rows]
-        failed = any(r.error is not None for r in table.rows)
-    _emit(_render_table(meta, columns, rows, config.format), config.out)
-    return 3 if failed else 0
+        return meta, columns, rows, failed
+    table = sweep(config.model(), config.geometry(), charge, grid, acc, tc=tc)
+    meta["critical_temperature"] = tc
+    meta["resolved_regime"] = table.metadata["regime"]
+    rows = [(r.temperature, r.mu, r.excited_density, r.condensate_density,
+             r.mutual_information, r.boundary_thermal_part,
+             r.geometric_entropy, r.thermal_entropy,
+             "" if r.error is None else _sanitize(r.error))
+            for r in table.rows]
+    return meta, columns, rows, any(r.error is not None for r in table.rows)
 
 
-def _cmd_entropy(config: RunConfig) -> int:
+def _cmd_entropy(config: RunConfig) -> _Table:
     grid = _temperature_grid(config, None)
     columns = ("T", "mu", "zero_t_part", "boundary_thermal_part",
                "extensive_thermal_part", "S_g", "I_m", "S_thermal", "error")
@@ -340,12 +342,10 @@ def _cmd_entropy(config: RunConfig) -> int:
         rep.zero_t_part, rep.boundary_thermal_part,
         rep.extensive_thermal_part, rep.geometric_entropy,
         rep.mutual_information, -2.0 * rep.extensive_thermal_part))
-    _emit(_render_table(_meta_common(config, "entropy"), columns, rows,
-                        config.format), config.out)
-    return 3 if failed else 0
+    return _meta_common(config, "entropy"), columns, rows, failed
 
 
-def _cmd_mu_solve(config: RunConfig) -> int:
+def _cmd_mu_solve(config: RunConfig) -> _Table:
     charge = config.charge()
     if charge is None:
         raise ValueError("mu-solve requires charge.density")
@@ -355,31 +355,25 @@ def _cmd_mu_solve(config: RunConfig) -> int:
     meta = _meta_common(config, "mu-solve")
     meta["critical_temperature"] = tc
     columns = ("T", "mu", "z_nr", "rho_e", "rho_0", "phase", "error")
-    rows: list[tuple[object, ...]] = []
-    failed = False
-    for t in grid:
-        try:
-            state = solve_chemical_potential(t, charge, config.mass, acc)
-            rows.append((t, state.mu, state.z_nr, state.excited_density,
-                         state.condensate_density, state.phase.value, ""))
-        except (ValueError, ConvergenceError) as exc:
-            failed = True
-            nan = float("nan")
-            rows.append((t, nan, nan, nan, nan, "", _sanitize(str(exc))))
-    _emit(_render_table(meta, columns, rows, config.format), config.out)
-    return 3 if failed else 0
+
+    def row(t: float) -> tuple[object, ...]:
+        state = solve_chemical_potential(t, charge, config.mass, acc)
+        return (t, state.mu, state.z_nr, state.excited_density,
+                state.condensate_density, state.phase.value)
+
+    nan = float("nan")
+    rows, failed = _rows(grid, row, (nan, nan, nan, nan, ""))
+    return meta, columns, rows, failed
 
 
-def _cmd_tc(config: RunConfig) -> int:
+def _cmd_tc(config: RunConfig) -> _Table:
     charge = config.charge()
     if charge is None:
         raise ValueError("tc requires charge.density")
     meta = _meta_common(config, "tc")
     tc = critical_temperature(charge, config.mass, config.accuracy())
     rows = [(tc, config.charge_density, config.regime)]
-    columns = ("T_C", "charge_density", "regime")
-    _emit(_render_table(meta, columns, rows, config.format), config.out)
-    return 0
+    return meta, ("T_C", "charge_density", "regime"), rows, False
 
 
 def _cmd_discontinuity(config: RunConfig) -> int:
@@ -408,19 +402,8 @@ def _cmd_discontinuity(config: RunConfig) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    selection = args.only if args.only else None
-    reports = run_suite(selection)
-    lines = []
-    for r in reports:
-        lines.append(json.dumps({
-            "identity_name": r.identity_name,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "relative_error": r.relative_error,
-            "tolerance": r.tolerance,
-            "passed": r.passed,
-            "parameters": r.parameters,
-        }, sort_keys=True))
+    reports = run_suite(args.only or None)
+    lines = [json.dumps(asdict(r), sort_keys=True) for r in reports]
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -431,28 +414,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--mass", type=float)
-    sub.add_argument("--dim", dest="dimension", metavar="DIM", type=int)
-    sub.add_argument("--cutoff", type=float)
-    sub.add_argument("--field-kind", dest="field_kind",
-                     choices=sorted(_FIELD_KINDS))
-    sub.add_argument("--mu", type=float, help="fixed chemical potential")
-    sub.add_argument("--charge-density", dest="charge_density", type=float)
-    sub.add_argument("--regime", choices=sorted(_REGIMES))
-    sub.add_argument("--tmin", type=float)
-    sub.add_argument("--tmax", type=float)
-    sub.add_argument("--points", type=int)
-    sub.add_argument("--spacing", choices=_SPACINGS)
-    sub.add_argument("--v2", type=float)
-    sub.add_argument("--varea", type=float)
-    sub.add_argument("--vvol", type=float)
-    sub.add_argument(
-        "--rtol", type=float,
-        help="relative quadrature tolerance (default 1e-8); fixed-charge "
-             "root solves tighten it to at most 1e-12, since they stop at a "
-             "charge residual of 1e-10 rho")
-    sub.add_argument("--format", choices=_FORMATS)
-    sub.add_argument("--out")
+    for setting in _SETTINGS.values():
+        sub.add_argument(setting.flag, dest=setting.attr, type=setting.parse,
+                         choices=setting.choices, help=setting.help,
+                         metavar=setting.metavar)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,23 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geometric entropy and mutual information of a free "
                     "Bose gas at finite temperature and charge density.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("mutual-info", "entropy", "mu-solve", "tc",
-                 "discontinuity"):
-        _add_common_flags(subs.add_parser(name))
+    # Each table command returns (meta, columns, rows, failed) for main.
+    for name, table in (("mutual-info", _cmd_mutual_info),
+                        ("entropy", _cmd_entropy),
+                        ("mu-solve", _cmd_mu_solve), ("tc", _cmd_tc)):
+        sub = subs.add_parser(name)
+        _add_common_flags(sub)
+        sub.set_defaults(table=table)
+    _add_common_flags(subs.add_parser("discontinuity"))
     verify = subs.add_parser("verify")
     verify.add_argument("--only", action="append",
                         help=f"restrict to a family: {', '.join(FAMILIES)}")
     verify.add_argument("--out")
     return parser
-
-
-_DISPATCH = {
-    "mutual-info": _cmd_mutual_info,
-    "entropy": _cmd_entropy,
-    "mu-solve": _cmd_mu_solve,
-    "tc": _cmd_tc,
-    "discontinuity": _cmd_discontinuity,
-}
 
 
 @functools.lru_cache(maxsize=None)
@@ -496,16 +457,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         config = _build_config(args)
-        return _DISPATCH[args.command](config)
-    except ValueError as exc:
+        if args.command == "discontinuity":
+            return _cmd_discontinuity(config)
+        meta, columns, rows, failed = args.table(config)
+        _emit(_render_table(meta, columns, rows, config.format), config.out)
+        return 3 if failed else 0
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

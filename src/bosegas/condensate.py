@@ -253,12 +253,15 @@ def charge_density_rel(point: ThermalPoint, mass: float,
 # Root finding
 # ----------------------------------------------------------------------
 
+_MAX_ROOT_ITER = 200    # steps of one bracketed root search
+
+
 def _solve_bracketed(fn: Callable[[float], float], lo: float, hi: float,
                      f_lo: float, f_hi: float, *, x_rtol: float,
                      f_stop: Callable[[float], bool],
                      guess: float | None = None,
-                     slope: Callable[[float], float | None] | None = None,
-                     max_iter: int = 200) -> float:
+                     slope: Callable[[float], float | None] | None = None
+                     ) -> float:
     """Safeguarded bracketed root finder.
 
     ``f(lo)`` and ``f(hi)`` must differ in sign.  The first point is
@@ -283,7 +286,7 @@ def _solve_bracketed(fn: Callable[[float], float], lo: float, hi: float,
     stalls = 0
     stepped = False
     x_new = guess if guess is not None and lo < guess < hi else None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ROOT_ITER):
         if x_new is None and stalls < 2:
             # No slope at the initial bracket ends: they may sit at a
             # singular end of the domain.
@@ -646,15 +649,21 @@ def sweep(params: ModelParams, geometry: Geometry, charge: ChargeSpec,
 # Derivative discontinuity at T_C
 # ----------------------------------------------------------------------
 
+# A one-sided stencil may stop from this level on, once successive
+# Richardson extrapolants agree to this relative difference.
+_STENCIL_MIN_LEVELS = 4
+_STENCIL_STOP_REL = 0.005
+
+
 def _one_sided_stencils(f: Callable[[float], float], tc: float, h0: float,
-                        side: float, min_levels: int, max_levels: int,
-                        stop_rel: float, cache: dict[float, float]
-                        ) -> tuple[float, dict]:
+                        side: float, max_levels: int,
+                        cache: dict[float, float]) -> tuple[float, dict]:
     """One-sided derivative of f at tc from the given side.
 
     Third-order four-point stencils at step h0 / 2^k, Richardson-refined
-    twice; stops when successive top extrapolants agree to ``stop_rel`` or
-    the refinement starts amplifying quadrature noise.
+    twice; from level ``_STENCIL_MIN_LEVELS`` on, stops when successive top
+    extrapolants agree to ``_STENCIL_STOP_REL`` or the refinement starts
+    amplifying quadrature noise.
     """
 
     def value(x: float) -> float:
@@ -688,12 +697,12 @@ def _one_sided_stencils(f: Callable[[float], float], tc: float, h0: float,
             scale = max(abs(r2[-1]), 1e-13 * abs(f0) / h, 1e-300)
             if diff < best[0]:
                 best = (diff, r2[-1], k)
-            if k >= min_levels and diff <= stop_rel * scale:
+            if k >= _STENCIL_MIN_LEVELS and diff <= _STENCIL_STOP_REL * scale:
                 converged = True
                 break
             # Noise guard: two consecutive growing diffs after the best
             # level means the quadrature noise floor has been reached.
-            if (k >= min_levels + 2 and len(diffs) >= 3
+            if (k >= _STENCIL_MIN_LEVELS + 2 and len(diffs) >= 3
                     and diffs[-1] > diffs[-2] > diffs[-3]):
                 break
     estimate = r2[-1] if converged else best[1]
@@ -795,9 +804,9 @@ def discontinuity_estimate(params: ModelParams, geometry: Geometry,
     cache_left: dict[float, float] = {tc: f_tc}
     cache_right: dict[float, float] = {tc: f_tc}
     left, diag_left = _one_sided_stencils(
-        f_below, tc, h0_left, -1.0, 4, max_levels, 0.005, cache_left)
+        f_below, tc, h0_left, -1.0, max_levels, cache_left)
     right, diag_right = _one_sided_stencils(
-        f_above, tc, h0_right, +1.0, 4, max_levels, 0.005, cache_right)
+        f_above, tc, h0_right, +1.0, max_levels, cache_right)
 
     jump = left - right
     finding = None

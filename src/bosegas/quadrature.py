@@ -22,8 +22,9 @@ takes scalars is called point by point instead.
 symmetric summation plus an Euler-Maclaurin midpoint tail correction, so
 power-law tails (down to the contractual :math:`1/k^2`) converge without
 astronomically many terms.  The tail correction evaluates the summand at
-non-integer arguments; physical summands are analytic in the index, which
-makes that well defined.
+non-integer arguments (in arrays, like a radial integrand, when the summand
+accepts them); physical summands are analytic in the index, which makes
+that well defined.
 
 Both drivers are deterministic: same inputs, same float operations, same
 result bytes.
@@ -107,9 +108,6 @@ class _VectorizedCallable:
                 if out.shape == xs.shape:
                     self._mode = "vector"
                     return out
-                if out.shape == ():
-                    self._mode = "vector"
-                    return np.full_like(xs, float(out))
             except (TypeError, ValueError, IndexError):
                 pass
             self._mode = "scalar"
@@ -157,9 +155,10 @@ def _adaptive(pieces: Sequence[_Pieces], acc: AccuracyBudget,
     in one call, and a split evaluates both children in one call; the
     refinement order (always split the panel of largest error, oldest
     first on ties) is that of evaluating one panel at a time.  Returns
-    (value, error estimate); raises QuadratureError if the split budget
-    runs out above tolerance, with the partial value and its relative
-    error estimate.
+    (value, error estimate); raises QuadratureError, with the partial
+    value and its relative error estimate, if the split budget runs out
+    above tolerance or panels too narrow to split hold more error than
+    the tolerance allows.
     """
     heap: list = []            # (-err, seq, f, a, b, value, err)
     seq = 0
@@ -184,11 +183,15 @@ def _adaptive(pieces: Sequence[_Pieces], acc: AccuracyBudget,
         target = max(acc.relative_tolerance * abs(total_val), _TINY_TOTAL)
         if total_err <= target:
             return total_val, total_err
-        if not heap or splits >= acc.max_subdivisions:
+        # Unsplittable panels whose error alone exceeds any target the
+        # value can still reach make further splits pointless.
+        stalled = not heap or frozen_err > max(
+            acc.relative_tolerance * (abs(total_val) + total_err), _TINY_TOTAL)
+        if stalled or splits >= acc.max_subdivisions:
             # Both printed numbers are relative to |total_val|, as is
             # ``achieved``.
             norm = max(abs(total_val), _TINY_TOTAL)
-            cause = ("stalled on unsplittable panels" if not heap else
+            cause = ("stalled on unsplittable panels" if stalled else
                      f"needed more than {acc.max_subdivisions} subdivisions")
             raise QuadratureError(
                 f"quadrature {cause} at {where}; achieved relative error "
@@ -316,9 +319,10 @@ def _em_tail_correction(g: Callable[[float], float], a: float,
     surface as the documented non-convergence error from the checkpoint
     loop rather than overflow.
     """
+    f = _VectorizedCallable(g)
+
     def mapped(vs: np.ndarray) -> np.ndarray:
-        ts = a / vs
-        return np.array([g(float(t)) for t in ts]) * a / vs ** 2
+        return f(a / vs) * a / vs ** 2
 
     integral, _ = _adaptive([(mapped, [(_V_MIN_TAIL, 1.0)])], tail_acc,
                             "v(sum tail)")

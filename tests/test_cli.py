@@ -5,12 +5,16 @@ parsed back and cross-checked against direct library calls.
 """
 
 import argparse
+import dataclasses
 import json
 import math
+
+import pytest
 
 from bosegas import cli, condensate
 from bosegas.cli import main
 from bosegas.condensate import ChargeSpec, Regime, critical_temperature
+from bosegas.errors import ConvergenceError
 from bosegas.specfun import AccuracyBudget
 from bosegas.thermo import (FieldKind, Geometry, ModelParams, ThermalPoint,
                             mutual_info_neutral)
@@ -317,7 +321,7 @@ class TestOutputPlumbing:
 
 class TestFlagsAndKeys:
     def test_each_config_key_has_exactly_one_flag(self):
-        attrs = [attr for attr, _parse in cli._CONFIG_KEYS.values()]
+        attrs = [setting.attr for setting in cli._SETTINGS.values()]
         assert len(set(attrs)) == len(attrs)      # one key per attribute
         parser = cli.build_parser()
         subs = next(a for a in parser._actions
@@ -329,6 +333,11 @@ class TestFlagsAndKeys:
             assert sorted(dests) == sorted(attrs), name
         args = parser.parse_args(["entropy", "--dim", "2"])
         assert cli._build_config(args).dimension == 2
+
+    def test_settings_cover_run_config(self):
+        attrs = [setting.attr for setting in cli._SETTINGS.values()]
+        fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+        assert sorted(attrs) == sorted(fields)
 
 
 class TestUsage:
@@ -349,3 +358,102 @@ class TestUsage:
 
     def test_points_validation(self, capsys):
         assert main(["mutual-info", "--points", "0"]) == 2
+
+
+class TestConfigValues:
+    """Config-file values meet the same checks as the flags."""
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("model.field_kind", "quark", "field_kind"),
+        ("charge.regime", "x", "regime"),
+        ("grid.spacing", "cubic", "spacing"),
+        ("output.format", "xml", "format"),
+    ])
+    def test_value_outside_allowed_set(self, tmp_path, capsys, key, value,
+                                       name):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"charge.density = 1.0\n{key} = {value}\n")
+        assert main(["mutual-info", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be one of" in err and repr(value) in err
+
+    def test_nonpositive_grid_bound(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("grid.tmin = -1\n")
+        assert main(["entropy", "--config", str(cfg)]) == 2
+        assert "grid bounds must be positive" in capsys.readouterr().err
+
+    def test_tc_refined_without_charge(self, capsys):
+        assert main(["entropy", "--spacing", "tc-refined"]) == 2
+        assert "tc-refined" in capsys.readouterr().err
+
+
+class TestNumericFailures:
+    def test_mu_solve_row_failure(self, capsys, monkeypatch):
+        solve = cli.solve_chemical_potential
+
+        def failing_at_two(t, *args):
+            if t == 2.0:
+                raise ConvergenceError("no root, at T = 2")
+            return solve(t, *args)
+
+        monkeypatch.setattr(cli, "solve_chemical_potential", failing_at_two)
+        code, out = run(capsys, ["mu-solve", "--charge-density", "1.0",
+                                 "--regime", "nr", "--tmin", "1.0",
+                                 "--tmax", "2.0", "--points", "2"])
+        assert code == 3
+        lines = out.strip().splitlines()
+        assert lines[-1] == "2,nan,nan,nan,nan,,no root; at T = 2"
+        assert lines[-2].endswith(",")            # the good row, no error
+
+    def test_critical_temperature_failure(self, capsys, monkeypatch):
+        def failing(*args):
+            raise ConvergenceError("bracket lost")
+
+        monkeypatch.setattr(cli, "critical_temperature", failing)
+        assert main(["tc", "--charge-density", "1.0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric failure: bracket lost" in captured.err
+
+
+_COMMON_META = ["command", "cutoff", "dimension", "field_kind", "mass",
+                "points", "rtol", "spacing", "tmax", "tmin", "units", "v2",
+                "varea", "version", "vvol"]
+_CHARGE = ["--charge-density", "1.0", "--regime", "nr"]
+_MI_COLUMNS = ["T", "mu", "rho_e", "rho_0", "I_m", "I_m_thermal_part",
+               "S_g", "S_thermal", "error"]
+
+
+class TestTableLayout:
+    """Exact metadata keys and columns of every table command."""
+
+    @pytest.mark.parametrize("argv, extra_meta, columns", [
+        (["mutual-info"], ["mu"], _MI_COLUMNS),
+        (["mutual-info", *_CHARGE],
+         ["charge_density", "critical_temperature", "regime",
+          "resolved_regime"], _MI_COLUMNS),
+        (["entropy"], ["mu"],
+         ["T", "mu", "zero_t_part", "boundary_thermal_part",
+          "extensive_thermal_part", "S_g", "I_m", "S_thermal", "error"]),
+        (["mu-solve", *_CHARGE],
+         ["charge_density", "critical_temperature", "regime"],
+         ["T", "mu", "z_nr", "rho_e", "rho_0", "phase", "error"]),
+        (["tc", *_CHARGE], ["charge_density", "regime"],
+         ["T_C", "charge_density", "regime"]),
+    ])
+    def test_csv_and_json(self, capsys, argv, extra_meta, columns):
+        keys = sorted(_COMMON_META + extra_meta)
+        code, out = run(capsys, argv)
+        assert code == 0
+        meta_lines = [line for line in out.splitlines()
+                      if line.startswith("#")]
+        assert [line[2:].partition(" = ")[0] for line in meta_lines] == keys
+        assert out.splitlines()[len(meta_lines)] == ",".join(columns)
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(payload) == ["meta", "rows"]
+        assert sorted(payload["meta"]) == keys
+        assert payload["meta"]["command"] == argv[0]
+        assert [sorted(row) for row in payload["rows"]] == [sorted(columns)]

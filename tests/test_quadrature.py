@@ -182,6 +182,24 @@ class TestIntegrateRadial:
             assert (f"achieved relative error {exc.achieved:.3e} "
                     f"vs target {1e-13:.3e}") in message
 
+    def test_unsplittable_panel_stops_early(self, gk15_panels):
+        # A jump at p = 1/3, not a declared breakpoint: bisection freezes
+        # the panel holding it at the width floor with more error than
+        # rtol = 1e-14 allows, so the rule gives up there rather than
+        # splitting the other panels up to the 4000-split cap.
+        spec = RadialIntegralSpec(
+            dimension=1,
+            integrand=lambda p: np.where(p < 1.0 / 3.0, np.exp(-p), 0.0),
+            accuracy=AccuracyBudget(relative_tolerance=1e-14,
+                                    max_subdivisions=4000))
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_radial(spec)
+        assert "stalled" in str(excinfo.value)
+        assert gk15_panels[0] <= 200
+        exact = -math.expm1(-1.0 / 3.0) / math.pi
+        assert math.isfinite(excinfo.value.estimate)
+        assert rel(excinfo.value.estimate, exact) < 1e-12
+
     def test_non_finite_integrand_rejected(self):
         def bad(p):
             return np.where(p > 1.0, np.nan, np.exp(-p))
