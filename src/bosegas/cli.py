@@ -335,6 +335,10 @@ def _cmd_mutual_info(config: RunConfig) -> _Table:
 
 
 def _cmd_entropy(config: RunConfig) -> _Table:
+    if config.charge_density is not None:
+        raise ValueError("entropy runs at fixed mu and takes no "
+                         "charge.density; mutual-info solves mu at a fixed "
+                         "charge density")
     grid = _temperature_grid(config, None)
     columns = ("T", "mu", "zero_t_part", "boundary_thermal_part",
                "extensive_thermal_part", "S_g", "I_m", "S_thermal", "error")

@@ -1,6 +1,7 @@
 r"""Scalar special functions needed by the thermal field integrals.
 
-Everything here is pure, deterministic stdlib-float arithmetic:
+Everything here is pure, deterministic float arithmetic, on stdlib floats
+except for one private helper that fills a numpy array:
 
 * ``polylog(s, z)``  for :math:`z \in [0, 1]`, via the defining power series
   away from the endpoint and the Robinson (Hurwitz-series) expansion in
@@ -13,6 +14,9 @@ Everything here is pure, deterministic stdlib-float arithmetic:
   vacuum pieces, so small ``x`` must be exact.
 * ``bessel_i`` / ``bessel_i_scaled`` (modified, first kind) by positive-term
   series pivoted at the largest term, usable to ``x = 1e4`` in scaled form.
+  The private ``_bessel_i_scaled_ladder`` gives a whole ladder of orders
+  ``f, f+1, ...`` at many arguments from one such series per argument and
+  one downward ratio recurrence.
 * ``bessel_j`` (first kind) by alternating series for small argument and
   Miller downward recurrence with series normalization for large argument.
 
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError
 
@@ -391,6 +397,40 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     return _bessel_i_scaled_pivot(nu, x)
+
+
+def _bessel_i_scaled_ladder(f: float, count: int,
+                            xs: np.ndarray) -> np.ndarray:
+    """``e^{-x} I_{f+j}(x)`` for ``j < count``, as a (count, len(xs)) array.
+
+    Row 0 is the pivot series at order ``f``, one per argument.  The
+    ratios ``R_j = I_{f+j} / I_{f+j-1}`` follow from the three-term
+    recurrence run downward as a continued fraction, ``R_j = x / (2 (f+j)
+    + x R_{j+1})``, started at ``R = 0`` far enough above the top order
+    for it to converge; ``I`` is the recurrence's minimal solution, so the
+    downward sweep is stable (Gautschi, SIAM Rev. 9 (1967) 24).  Each row
+    is the previous one times its ratio.  Ratios lie in [0, 1), so
+    nothing overflows and tiny arguments underflow to 0.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if count < 1:
+        raise ValueError(f"ladder needs count >= 1, got {count!r}")
+    _validate_bessel(f, 0.0)
+    _validate_bessel(f + (count - 1), 0.0)
+    outside = ~((xs >= 0.0) & (xs <= _X_MAX))
+    if outside.any():
+        _validate_bessel(f, float(xs[outside][0]))
+    ladder = np.empty((count, xs.size))
+    ladder[0] = [bessel_i_scaled(f, x) for x in xs.tolist()]
+    if count > 1 and xs.size:
+        ratio = np.zeros(xs.size)
+        top = count + 20 + int(9.0 * math.sqrt(float(xs.max())))
+        for j in range(top, 0, -1):
+            ratio = xs / (2.0 * (f + j) + xs * ratio)
+            if j < count:
+                ladder[j] = ratio
+        np.cumprod(ladder, axis=0, out=ladder)
+    return ladder
 
 
 def _bessel_i_small(nu: float, x: float) -> float:

@@ -182,6 +182,20 @@ class TestEntropy:
                             -2.0 * float(row["extensive_thermal_part"]),
                             rel_tol=1e-14)
 
+    def test_refuses_a_charge_flag(self, capsys):
+        code = main(["entropy", "--charge-density", "1", "--mu", "0.5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "charge.density" in err and "mutual-info" in err
+
+    def test_refuses_a_charge_in_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("charge.density = 1.0\n")
+        code = main(["entropy", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "mutual-info" in err
+
 
 class TestMuSolve:
     def test_requires_charge(self, capsys):

@@ -93,6 +93,39 @@ class TestLaplace:
         assert rep.passed
         assert abs(rep.parameters["finite_part_fit"]) < 1e-4
 
+    # (n, alpha, orders_summed)
+    LATTICE = [
+        (1.0, 1.5, 39), (1.0, 2.0, 29), (1.0, 3.0, 21),
+        (2.0, 1.5, 77), (2.0, 2.0, 57), (2.0, 3.0, 42),
+        (3.0, 1.5, 116), (3.0, 2.0, 85), (3.0, 3.0, 63),
+        (4.0, 1.5, 154), (4.0, 2.0, 113), (4.0, 3.0, 84),
+        # non-integer n: ladders of step 2 (n = 2.5), one per order (pi)
+        (2.5, 2.0, 71), (math.pi, 2.0, 89),
+    ]
+
+    @pytest.mark.parametrize("n,alpha,orders", LATTICE)
+    def test_every_transform_is_tight(self, n, alpha, orders):
+        rep = check_f_n_alpha(n, alpha)
+        assert rep.passed
+        assert rep.parameters["orders_summed"] == orders
+        assert rep.parameters["max_single_transform_error"] <= 1e-12
+        assert abs(rep.lhs - rep.rhs) / rep.rhs <= 1e-12
+
+    def test_node_table_is_local_to_one_check(self):
+        first = (2.0, 1.5)
+        second = (3.0, 2.0)
+        forward = [repr(check_f_n_alpha(*args)) for args in (first, second)]
+        backward = [repr(check_f_n_alpha(*args)) for args in (second, first)]
+        assert forward == backward[::-1]
+
+    def test_bessel_caps_near_alpha_one(self):
+        # alpha = 1.01 stops at order 245 of its 262, below the order cap
+        assert check_f_n_alpha(1.0, 1.01).passed
+        with pytest.raises(ValueError, match="order"):
+            check_f_n_alpha(1.0, 1.008)      # needs order 257
+        with pytest.raises(ValueError, match="argument"):
+            check_f_n_alpha(1.0, 1.001)      # tail nodes beyond q = 1e4
+
     def test_domain(self):
         with pytest.raises(ValueError):
             check_f_n_alpha(0.5, 2.0)

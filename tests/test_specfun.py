@@ -7,9 +7,11 @@ to well below the asserted tolerances.
 
 import math
 
+import numpy as np
 import pytest
 
-from bosegas.specfun import (AccuracyBudget, DEFAULT_BUDGET, bessel_i,
+from bosegas.specfun import (AccuracyBudget, DEFAULT_BUDGET,
+                             _bessel_i_scaled_ladder, bessel_i,
                              bessel_i_scaled, bessel_j, gamma_upper, polylog,
                              zeta)
 
@@ -162,6 +164,97 @@ class TestBesselI:
             bessel_i(-0.5, 1.0)
         with pytest.raises(ValueError):
             bessel_i(0.0, 2e4)
+
+
+class TestBesselILadder:
+    """e^{-x} I_{f+j}(x) for a whole ladder of orders at once."""
+
+    FRACTIONS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75)
+    COUNT = 160
+
+    def _scalar(self, f, xs):
+        return np.array([[bessel_i_scaled(f + j, x) for x in xs]
+                         for j in range(self.COUNT)])
+
+    @pytest.mark.parametrize("f", FRACTIONS)
+    def test_matches_scalar_series(self, f):
+        xs = np.concatenate([[0.0], np.logspace(-8.0, math.log10(300.0), 61)])
+        got = _bessel_i_scaled_ladder(f, self.COUNT, xs)
+        ref = self._scalar(f, xs)
+        assert np.isfinite(got).all()
+        shown = ref > 1e-280
+        assert (np.abs(got - ref)[shown] / ref[shown]).max() <= 1e-12
+        assert (got[~shown] <= 1e-279).all()
+
+    @pytest.mark.parametrize("f", FRACTIONS)
+    def test_large_argument_carries_the_pivot_error_only(self, f):
+        # Up to x = 1e4 the pivot series itself is only good to ~2e-11
+        # (its log of the peak term is a difference of terms of size ~x),
+        # and each order's scalar series carries its own such error, so
+        # the two routes agree to 5e-11 there.
+        xs = np.logspace(math.log10(300.0), 4.0, 9)
+        got = _bessel_i_scaled_ladder(f, self.COUNT, xs)
+        ref = self._scalar(f, xs)
+        assert (np.abs(got - ref) / ref).max() <= 5e-11
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        small = np.array([1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 20.0, 55.0, 120.0,
+                          200.0])
+        large = np.array([300.0, 1e3, 3e3, 1e4])
+        rungs = (0, 1, 2, 5, 13, 40, 80, 159)
+        worst = worst_scalar = worst_ratio = 0.0
+        with mpmath.workdps(30):
+            for f in self.FRACTIONS:
+                got = _bessel_i_scaled_ladder(f, self.COUNT, small)
+                for i, x in enumerate(small):
+                    for j in rungs:
+                        ref = mp.besseli(mp.mpf(f) + j, x) * mp.exp(-x)
+                        if ref < 1e-280:
+                            continue
+                        worst = max(worst, float(abs(got[j, i] - ref) / ref))
+                        worst_scalar = max(worst_scalar, float(
+                            abs(bessel_i_scaled(f + j, x) - ref) / ref))
+                # The downward ratios add nothing to the pivot's error,
+                # however large x is.
+                got = _bessel_i_scaled_ladder(f, self.COUNT, large)
+                for i, x in enumerate(large):
+                    pivot = mp.besseli(mp.mpf(f), x)
+                    for j in rungs[1:]:
+                        ref = mp.besseli(mp.mpf(f) + j, x) / pivot
+                        worst_ratio = max(worst_ratio, float(
+                            abs(got[j, i] / got[0, i] - ref) / ref))
+        # The ladder's error is its pivot's (1.4e-13 at f = 1/3, x = 200);
+        # the per-order scalar series reach 2.3e-13 on this lattice.
+        assert worst <= 2e-13
+        assert worst <= worst_scalar
+        assert worst_ratio <= 1e-14
+
+    @pytest.mark.parametrize("f", FRACTIONS + (2.7,))
+    def test_single_rung_is_the_pivot(self, f):
+        xs = np.array([0.0, 1e-300, 1e-8, 0.5, 3.0, 80.0, 2500.0, 1e4])
+        got = _bessel_i_scaled_ladder(f, 1, xs)
+        assert got.shape == (1, xs.size)
+        assert got[0].tolist() == [bessel_i_scaled(f, x) for x in xs]
+
+    def test_tiny_arguments_underflow_to_zero(self):
+        got = _bessel_i_scaled_ladder(0.5, 160, np.array([0.0, 1e-300]))
+        assert np.isfinite(got).all() and (got >= 0.0).all()
+        assert got[-1].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("f,count,x", [
+        (-0.25, 4, 1.0),         # order below 0
+        (0.5, 257, 1.0),         # top order 256.5 above the cap
+        (256.5, 1, 1.0),
+        (0.0, 0, 1.0),           # empty ladder
+        (0.0, 4, -1.0),          # argument below 0
+        (0.0, 4, 2e4),           # argument above the cap
+        (0.0, 4, math.nan),
+    ])
+    def test_domain(self, f, count, x):
+        with pytest.raises(ValueError):
+            _bessel_i_scaled_ladder(f, count, np.array([1.0, x]))
 
 
 class TestBesselJ:
