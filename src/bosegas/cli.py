@@ -15,10 +15,15 @@ Subcommands
 ``tc``
     Critical temperature for the configured charge density.
 ``discontinuity``
-    One-sided derivative stencils of the mutual information at the
-    critical temperature (always JSON).
+    One-sided temperature derivatives of the mutual information at the
+    critical temperature, in closed form, and their jump, left - right
+    (always JSON).  ``analytic_jump`` is the closed-form prediction; in
+    the relativistic regime it is the ultra-relativistic value, whose sign
+    is that of right - left, so ``diagnostics.sign_finding`` reports
+    opposite signs.
 ``verify``
-    The identity-oracle suite; one JSON report per line.
+    The identity-oracle suite; one JSON report per line.  Its ``jump``
+    family checks the closed-form jump against one-sided stencils.
 
 Configuration is a flat ``key = value`` file with dotted sections
 (``model.mass = 1.0``); command-line flags override file values.  Each

@@ -30,9 +30,7 @@ to halve the residual.  The gas-phase unknown is
 :math:`\beta\,n(1+n)` on both branches, at a loose fixed budget (it only
 sets the step; the residual keeps the tight one).  Inside one
 :func:`sweep` each gas row starts from the previous gas rows, extrapolated
-linearly in :math:`u`; inside one :func:`discontinuity_estimate` each
-stencil point above :math:`T_C` starts from the nearest solved point,
-scaled by :math:`u \propto T - T_C`.  Nothing is cached between calls.
+linearly in :math:`u`.  Nothing is cached between calls.
 
 The fixed-charge mutual information across a dividing plane of transverse
 two-volume :math:`V_2` is assembled here with the boundary normalization
@@ -43,9 +41,19 @@ two-volume :math:`V_2` is assembled here with the boundary normalization
                    \frac{n(\omega-\mu)+n(\omega+\mu)}{\omega},
 
 whose temperature derivative is continuous except at :math:`T_C`, where it
-jumps by a finite amount.  ``discontinuity_estimate`` measures that jump
-with one-sided finite-difference stencils refined by Richardson
-extrapolation, and compares it against the closed-form predictions.
+jumps by a finite amount.  ``discontinuity_estimate`` gives that jump,
+left minus right, in closed form: exactly in the non-relativistic regime,
+and as two occupation integrals at gap 0 in the relativistic one (the
+left derivative, and the jump as :math:`(\pi V_2/6m)\,dC/dT` with
+:math:`C` the charge capacity).  It compares the jump with the closed-form
+predictions; the ultra-relativistic one, :math:`-(\pi\sqrt3/9)\,V_2
+\sqrt{|\rho|/m}`, carries the sign of right minus left, so the two
+disagree in sign and the result reports that as a sign finding.
+One-sided Richardson stencils of the boundary part itself
+(``_stencil_discontinuity``) are kept as an independent cross-check for
+the ``jump`` family of :func:`bosegas.oracles.run_suite`; each stencil
+point above :math:`T_C` starts its solve from the nearest solved point,
+scaled by :math:`u \propto T - T_C`.
 """
 
 from __future__ import annotations
@@ -58,9 +66,10 @@ from typing import Callable, Sequence
 
 from .errors import ConvergenceError
 from .specfun import AccuracyBudget, DEFAULT_BUDGET, polylog, zeta
+from .quadrature import _integrate_radial_report
 from .thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
                      ThermalPoint, _bose, _boundary_charged, _entropy_charged,
-                     _entropy_report, _occupation_integral,
+                     _entropy_report, _occupation_integral, _occupation_spec,
                      zero_t_entanglement)
 
 __all__ = [
@@ -173,14 +182,30 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class DiscontinuityResult:
-    """Measured one-sided derivatives of I_m at the critical temperature."""
+    """One-sided derivatives of I_m at the critical temperature.
+
+    ``jump`` is left - right.  ``analytic_jump`` is the closed-form
+    prediction: (pi/4) V_2 rho/(m T_C) in the NR regime, in the same
+    left - right sign, and the ultra-relativistic -(pi sqrt3/9) V_2
+    sqrt(|rho|/m) in the relativistic one, whose sign is that of
+    right - left; the relativistic ``jump`` is positive, so the two have
+    opposite signs and ``stencil_orders["sign_finding"]`` says so.
+
+    ``stencil_orders`` keeps its name from the stencil route.  It holds
+    ``route`` ("closed-form", or "stencil" for the cross-check),
+    ``left`` and ``right`` dicts with an integer ``levels`` (0 on the
+    closed-form route; on the stencil route, each side's refinement
+    table), on the closed-form route ``achieved``, the relative error
+    estimate of each integral (empty in the NR regime, which takes none),
+    ``sign_finding``, and one regime-specific reference value.
+    """
 
     critical_temperature: float
     left_derivative: float      # d I_m / dT as T -> T_C from below
     right_derivative: float     # d I_m / dT as T -> T_C from above
     jump: float                 # left_derivative - right_derivative
     analytic_jump: float        # closed-form prediction for the jump
-    stencil_orders: dict        # per-side refinement diagnostics, findings
+    stencil_orders: dict        # route, per-side diagnostics, findings
 
 
 # ----------------------------------------------------------------------
@@ -649,6 +674,145 @@ def sweep(params: ModelParams, geometry: Geometry, charge: ChargeSpec,
 # Derivative discontinuity at T_C
 # ----------------------------------------------------------------------
 
+def _jump_budget(acc: AccuracyBudget) -> AccuracyBudget:
+    """Budget of every integral behind the jump, on either route."""
+    return AccuracyBudget(relative_tolerance=1e-13, max_terms=acc.max_terms,
+                          max_subdivisions=max(acc.max_subdivisions, 6000))
+
+
+def _left_slope_moment(x_minus, x_plus, omega):
+    """T d/dT of the boundary moment at fixed a: sum x n (1 + n) / omega."""
+    n_minus, n_plus = _bose(x_minus), _bose(x_plus)
+    return (x_minus * n_minus * (1.0 + n_minus)
+            + x_plus * n_plus * (1.0 + n_plus)) / omega
+
+
+def _closed_form_slopes(tc: float, mass: float, v2: float,
+                        acc: AccuracyBudget) -> tuple[float, float, dict]:
+    r"""Left derivative and jump of the relativistic boundary part at T_C.
+
+    Both are occupation integrals at gap 0.  Below T_C, a = m is fixed, so
+    the left derivative is the T-derivative of the boundary moment.  Above,
+    a(T) keeps rho fixed; da/dT -> 0 at T_C while the a-derivatives of the
+    boundary part and of rho both diverge, in the ratio 1/m of their
+    p -> 0 ends, so the jump is :math:`\Delta = (\pi V_2/6m)\,dC/dT` with
+    C(T) the charge capacity.  dC/dT is the T-derivative of the capacity
+    kernel :math:`n_-(1+n_+)\,c`, :math:`c = 1 - e^{-2m/T}`:
+    :math:`(c/T)\int n_-(1+n_+)\,[x_-(1+n_-) + x_+ n_+ - k]` with
+    :math:`k = (2m/T)/(e^{2m/T}-1)`.  Every term is positive except
+    :math:`-k`, and :math:`x_-(1+n_-) \ge 1 \ge k`, so nothing cancels.
+    The plain difference :math:`x_- n_-(1+n_-) - x_+ n_+(1+n_+)` of the
+    two branches does cancel: at rho = 1e10 it stops at 4.4e-12 after
+    6,000 subdivisions, short of the 1e-13 budget.
+
+    Returns (left derivative, jump, relative achieved error per integral).
+    """
+    tight = _jump_budget(acc)
+    y = 2.0 * mass / tc
+    c = -math.expm1(-y)
+    k = y * math.exp(-y) / c        # y / (e^y - 1), finite for any y
+
+    def capacity_slope(x_minus, x_plus, _omega):
+        n_minus, n_plus = _bose(x_minus), _bose(x_plus)
+        return n_minus * (1.0 + n_plus) * (
+            x_minus * (1.0 + n_minus) + x_plus * n_plus - k)
+
+    coeff = math.pi / 6.0 * v2
+    s_left, e_left = _integrate_radial_report(_occupation_spec(
+        3, mass, tc, mass, _left_slope_moment, tight))
+    s_jump, e_jump = _integrate_radial_report(_occupation_spec(
+        3, mass, tc, mass, capacity_slope, tight))
+    achieved = {"left_derivative": e_left / s_left, "jump": e_jump / s_jump}
+    return coeff * s_left / tc, coeff / mass * c * s_jump / tc, achieved
+
+
+def _jump_result(params: ModelParams, geometry: Geometry, charge: ChargeSpec,
+                 acc: AccuracyBudget, route: str, slopes: Callable
+                 ) -> DiscontinuityResult:
+    """Solve T_C, take the one-sided slopes there, attach the references.
+
+    ``slopes(regime, tc)`` returns (left, right, per-route diagnostics).
+    """
+    _validate_fixed_charge_model(params)
+    regime = _resolve_regime(charge, params.mass)
+    m = params.mass
+    rho_abs = abs(charge.density)
+    v2 = geometry.two_volume
+    tc = critical_temperature(ChargeSpec(charge.density, regime), m, acc)
+    left, right, orders = slopes(regime, tc)
+    if regime is Regime.NON_RELATIVISTIC:
+        analytic = 0.25 * math.pi * v2 * rho_abs / (m * tc)
+        orders["nr_rescaled_convention_jump"] = (
+            0.5 * math.pi ** 2 * _ZETA_3_2 ** (2.0 / 3.0) * v2
+            * rho_abs ** (1.0 / 3.0))
+    else:
+        analytic = -(math.pi * math.sqrt(3.0) / 9.0) * v2 \
+            * math.sqrt(rho_abs / m)
+        orders["critical_temperature_leading"] = math.sqrt(3.0 * rho_abs / m)
+    jump = left - right
+    finding = None
+    if jump * analytic < 0.0:
+        agree = abs(abs(jump / analytic) - 1.0) < 0.05
+        finding = (
+            f"sign finding: {route} jump {jump:+.6g} (left - right) and UR "
+            f"prediction {analytic:+.6g} (right - left) have opposite signs; "
+            f"magnitudes {'agree' if agree else 'differ'} ({route} jump kept "
+            "as computed)")
+    orders["route"] = route
+    orders["sign_finding"] = finding
+    return DiscontinuityResult(
+        critical_temperature=tc,
+        left_derivative=left,
+        right_derivative=right,
+        jump=jump,
+        analytic_jump=analytic,
+        stencil_orders=orders,
+    )
+
+
+def discontinuity_estimate(params: ModelParams, geometry: Geometry,
+                           charge: ChargeSpec,
+                           acc: AccuracyBudget = DEFAULT_BUDGET
+                           ) -> DiscontinuityResult:
+    r"""Closed-form jump of :math:`\partial I_m/\partial T` at :math:`T_C`.
+
+    Only the thermal boundary part depends on T (the vacuum piece is a
+    constant).  Non-relativistic: below T_C it is
+    :math:`(\pi/6)(V_2/m)\,C(T)` with :math:`C \propto T^{3/2}`, above it
+    :math:`(\pi/6)(V_2/m)\rho`, so the left derivative is
+    :math:`(3/2)(\pi/6)(V_2/m)\rho/T_C` and the right one 0, exactly.
+    Relativistic: the left derivative and the jump are one occupation
+    integral each at gap 0 (see ``_closed_form_slopes``), and
+    right = left - jump.
+
+    ``jump`` is left - right.  ``analytic_jump`` is the NR closed form
+    :math:`(\pi/4)\,V_2\rho/(m T_C)` (left - right), or the
+    ultra-relativistic prediction :math:`-(\pi\sqrt3/9)\,V_2\sqrt{|\rho|/m}`,
+    whose sign is that of right - left.  Where the two signs differ the
+    result carries, and warns with, a sign finding; neither number is
+    adjusted to match.
+    """
+
+    def slopes(regime: Regime, tc: float) -> tuple[float, float, dict]:
+        m = params.mass
+        if regime is Regime.NON_RELATIVISTIC:
+            left = 1.5 * (math.pi / 6.0) * (geometry.two_volume / m) \
+                * abs(charge.density) / tc
+            right, achieved = 0.0, {}
+        else:
+            left, jump, achieved = _closed_form_slopes(
+                tc, m, geometry.two_volume, acc)
+            right = left - jump
+        return left, right, {"left": {"levels": 0}, "right": {"levels": 0},
+                             "achieved": achieved}
+
+    result = _jump_result(params, geometry, charge, acc, "closed-form",
+                          slopes)
+    if result.stencil_orders["sign_finding"] is not None:
+        warnings.warn(result.stencil_orders["sign_finding"], stacklevel=2)
+    return result
+
+
 # A one-sided stencil may stop from this level on, once successive
 # Richardson extrapolants agree to this relative difference.
 _STENCIL_MIN_LEVELS = 4
@@ -718,116 +882,72 @@ def _one_sided_stencils(f: Callable[[float], float], tc: float, h0: float,
     return estimate, diag
 
 
-def discontinuity_estimate(params: ModelParams, geometry: Geometry,
+def _stencil_discontinuity(params: ModelParams, geometry: Geometry,
                            charge: ChargeSpec,
                            acc: AccuracyBudget = DEFAULT_BUDGET
                            ) -> DiscontinuityResult:
-    r"""Measure the jump of :math:`\partial I_m/\partial T` at :math:`T_C`.
+    """The same slopes by one-sided Richardson stencils: a cross-check.
 
-    The stencils act on the thermal boundary part alone (the vacuum piece
-    is a temperature-independent constant, so excluding it costs nothing
-    and avoids cancellation).  Closed-form references: the
-    non-relativistic jump :math:`(\pi/4)\,V_2\rho/(m T_C)`, and the
-    ultra-relativistic prediction :math:`-(\pi\sqrt3/9)\,V_2\sqrt{|\rho|/m}`
-    whose sign is checked against the numeric stencil and reported as a
-    finding when they disagree (the stencil is the arbiter of the measured
-    value; it is never silently adjusted to match).
+    The stencils difference the boundary part itself, on the condensation
+    boundary below T_C and along the solved mu(T) above it, so they share
+    nothing with the closed form but T_C and the occupation kernel.  They
+    cost ~87 integrals per relativistic call, and their right side does
+    not settle at high density (rho = 1e8: 8 levels, ``converged``
+    False), which is why ``discontinuity_estimate`` does not use them.
+    ``stencil_orders`` holds each side's refinement table.  No warning is
+    raised for a sign finding.
     """
-    _validate_fixed_charge_model(params)
-    regime = _resolve_regime(charge, params.mass)
     m = params.mass
     rho_abs = abs(charge.density)
-    v2 = geometry.two_volume
-    tc = critical_temperature(ChargeSpec(charge.density, regime), m, acc)
+    coeff = math.pi / 6.0 * geometry.two_volume
 
-    if regime is Regime.NON_RELATIVISTIC:
-        lam_c = math.pi / 6.0 * v2 / m
+    def slopes(regime: Regime, tc: float) -> tuple[float, float, dict]:
+        if regime is Regime.NON_RELATIVISTIC:
+            def f_below(t: float) -> float:
+                return coeff / m * (m * t / (2.0 * math.pi)) ** 1.5 \
+                    * _ZETA_3_2
 
-        def f_below(t: float) -> float:
-            return lam_c * (m * t / (2.0 * math.pi)) ** 1.5 * _ZETA_3_2
+            def f_above(_t: float) -> float:
+                return coeff / m * rho_abs
 
-        def f_above(_t: float) -> float:
-            return lam_c * rho_abs
+            max_levels = 12
+            h0_right = 0.01 * tc
+        else:
+            tight = _jump_budget(acc)
 
-        analytic = 0.25 * math.pi * v2 * rho_abs / (m * tc)
-        max_levels = 12
-        extra: dict = {
-            "nr_rescaled_convention_jump":
-                0.5 * math.pi ** 2 * _ZETA_3_2 ** (2.0 / 3.0) * v2
-                * rho_abs ** (1.0 / 3.0),
-        }
-    else:
-        tight = AccuracyBudget(relative_tolerance=1e-13,
-                               max_terms=acc.max_terms,
-                               max_subdivisions=max(acc.max_subdivisions,
-                                                    6000))
-        coeff = math.pi / 6.0 * v2
+            def f_below(t: float) -> float:
+                return coeff * _occupation_integral(3, m, t, m,
+                                                    _boundary_charged, tight)
 
-        def f_below(t: float) -> float:
-            return coeff * _occupation_integral(3, m, t, m,
-                                                _boundary_charged, tight)
+            solved: dict[float, float] = {}     # T -> sqrt(gap), above T_C
 
-        solved: dict[float, float] = {}     # T -> sqrt(gap), above T_C
+            def f_above(t: float) -> float:
+                # Start from the nearest solved point, scaled by
+                # sqrt(gap) ~ T - T_C, the limiting branch sampled here.
+                u_guess = None
+                if solved:
+                    near = min(solved, key=lambda s: abs(s - t))
+                    u_guess = solved[near] * (t - tc) / (near - tc)
+                gap, a = _solve_rel(t, rho_abs, m, tight, 3e-13, u_guess)[:2]
+                solved[t] = math.sqrt(gap)
+                return coeff * _occupation_integral(3, m, t, a,
+                                                    _boundary_charged, tight)
 
-        def f_above(t: float) -> float:
-            # Start from the nearest solved point, scaled by
-            # sqrt(gap) ~ T - T_C, the limiting branch the stencil samples.
-            u_guess = None
-            if solved:
-                near = min(solved, key=lambda s: abs(s - t))
-                u_guess = solved[near] * (t - tc) / (near - tc)
-            gap, a = _solve_rel(t, rho_abs, m, tight, 3e-13, u_guess)[:2]
-            solved[t] = math.sqrt(gap)
-            return coeff * _occupation_integral(3, m, t, a,
-                                                _boundary_charged, tight)
+            max_levels = 14
+            # Above T_C the solved gap crosses over from a sqrt(T - T_C)
+            # branch to a branch linear in T - T_C inside a layer of width
+            # ~ (9 / 2 pi^2) m^2 / T_C; the stencil must sample well inside
+            # that layer to see the limiting one-sided slope.
+            delta_star = 4.5 * m * m / (math.pi ** 2 * tc)
+            h0_right = min(0.01 * tc, 0.03 * delta_star)
+        # Both sides share the value at T_C itself, taken on the
+        # condensation boundary (gap = 0); seeding it also spares the
+        # gas-phase solver a borderline bracket exactly at the transition.
+        f_tc = f_below(tc)
+        left, diag_left = _one_sided_stencils(
+            f_below, tc, 0.01 * tc, -1.0, max_levels, {tc: f_tc})
+        right, diag_right = _one_sided_stencils(
+            f_above, tc, h0_right, +1.0, max_levels, {tc: f_tc})
+        return left, right, {"left": diag_left, "right": diag_right}
 
-        analytic = -(math.pi * math.sqrt(3.0) / 9.0) * v2 \
-            * math.sqrt(rho_abs / m)
-        max_levels = 14
-        extra = {"critical_temperature_leading":
-                 math.sqrt(3.0 * rho_abs / m)}
-
-    h0_left = 0.01 * tc
-    if regime is Regime.NON_RELATIVISTIC:
-        h0_right = h0_left
-    else:
-        # Above T_C the solved gap crosses over from a sqrt(T - T_C)
-        # branch to a branch linear in T - T_C inside a layer of width
-        # ~ (9 / 2 pi^2) m^2 / T_C; the stencil must sample well inside
-        # that layer to see the limiting one-sided slope.
-        delta_star = 4.5 * m * m / (math.pi ** 2 * tc)
-        h0_right = min(h0_left, 0.03 * delta_star)
-    # Both sides share the value at T_C itself, taken on the condensation
-    # boundary (gap = 0); seeding it also spares the gas-phase solver a
-    # borderline bracket exactly at the transition.
-    f_tc = f_below(tc)
-    cache_left: dict[float, float] = {tc: f_tc}
-    cache_right: dict[float, float] = {tc: f_tc}
-    left, diag_left = _one_sided_stencils(
-        f_below, tc, h0_left, -1.0, max_levels, cache_left)
-    right, diag_right = _one_sided_stencils(
-        f_above, tc, h0_right, +1.0, max_levels, cache_right)
-
-    jump = left - right
-    finding = None
-    if jump * analytic < 0.0:
-        finding = (
-            f"sign finding: numeric jump {jump:+.6g} and closed-form "
-            f"prediction {analytic:+.6g} have opposite signs; magnitudes "
-            f"{'agree' if abs(abs(jump / analytic) - 1.0) < 0.05 else 'differ'}"
-            " (numeric stencil kept as measured)")
-        warnings.warn(finding, stacklevel=2)
-    diagnostics = {
-        "left": diag_left,
-        "right": diag_right,
-        "sign_finding": finding,
-        **extra,
-    }
-    return DiscontinuityResult(
-        critical_temperature=tc,
-        left_derivative=left,
-        right_derivative=right,
-        jump=jump,
-        analytic_jump=analytic,
-        stencil_orders=diagnostics,
-    )
+    return _jump_result(params, geometry, charge, acc, "stencil", slopes)

@@ -24,6 +24,11 @@ they ultimately support):
   :math:`\int_0^\infty \rho\, e^{-\rho^2/R^2} J_\nu(a\rho)^2 d\rho =
   (R^2/2)\, e^{-x} I_\nu(x)` at :math:`x = a^2R^2/2`, and the saturation
   of the order sum :math:`e^{-x}\sum_{m} I_{|m|/n}(x)`.
+* ``check_derivative_jump``: the one exception to the rule above.  It
+  checks the closed-form jump of :math:`\partial I_m/\partial T` at
+  :math:`T_C` (``condensate.discontinuity_estimate``) against one-sided
+  Richardson stencils of the boundary part itself, two routes that share
+  only :math:`T_C` and the occupation kernel.
 
 The saturation check is asserted against the value ``R^2/2`` independent
 of ``n``.  That holds only for ``n = 1``: for ``n > 1`` each fractional
@@ -37,19 +42,24 @@ rather than adjusting the target.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .condensate import (ChargeSpec, Regime, _stencil_discontinuity,
+                         discontinuity_estimate)
 from .quadrature import RadialIntegralSpec, integrate_radial, sum_bilateral
 from .specfun import (_NU_MAX, AccuracyBudget, _bessel_i_scaled_ladder,
                       bessel_i_scaled, bessel_j)
+from .thermo import FieldKind, Geometry, ModelParams
 
 __all__ = [
     "FAMILIES",
     "OracleReport",
     "check_bessel_identities",
+    "check_derivative_jump",
     "check_f_n_alpha",
     "check_log_sum_derivative",
     "check_matsubara_sum",
@@ -181,7 +191,9 @@ def check_f_n_alpha(n: float, alpha: float) -> OracleReport:
 
     The left route integrates ``e^{-alpha q} I_{|m|/n}(q)`` term by term
     with adaptive quadrature and sums orders until the closed-form tail
-    is negligible; the right route is the coth expression.  Additionally
+    is negligible; the right route is the coth expression.
+    ``parameters`` records the orders actually summed (``orders_summed``)
+    and the cap the loop may run to (``order_cap``).  Additionally
     the finite part of ``F_n(1+eps) - n/(2 eps)`` is extracted by
     Richardson extrapolation over eps in {1e-3, 1e-4, 1e-5} and compared
     with ``(1/12)(1/n - n)``.
@@ -227,7 +239,8 @@ def check_f_n_alpha(n: float, alpha: float) -> OracleReport:
         {
             "n": n,
             "alpha": alpha,
-            "orders_summed": m_max,
+            "orders_summed": m,         # the last order the loop summed
+            "order_cap": m_max,
             "max_single_transform_error": max_term_err,
             "finite_part_fit": fit,
             "finite_part_expected": expected,
@@ -440,6 +453,47 @@ def check_bessel_identities(z: float, n: float, a_r: float) -> OracleReport:
 
 
 # ----------------------------------------------------------------------
+# Derivative jump at the condensation temperature
+# ----------------------------------------------------------------------
+
+def check_derivative_jump(density: float, regime: Regime) -> OracleReport:
+    """Closed-form derivative jump at T_C vs one-sided stencils.
+
+    m = 1, V_2 = 1.  lhs: the jump (left - right) of
+    ``discontinuity_estimate``; rhs: the same from the Richardson stencils
+    of ``condensate._stencil_discontinuity``.  The jumps must agree to
+    1e-5 (the stencils' own error: 3e-6 at rho = 1e4) and the left
+    derivatives to 1e-10.  The known sign finding of the relativistic
+    regime is not re-warned here.
+    """
+    params = ModelParams(1.0, 3, 1e4, FieldKind.CHARGED_COMPLEX)
+    charge = ChargeSpec(density, regime)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="sign finding")
+        closed = discontinuity_estimate(params, Geometry(), charge)
+    stencil = _stencil_discontinuity(params, Geometry(), charge)
+    err_jump = abs(closed.jump - stencil.jump) / abs(closed.jump)
+    err_left = abs(closed.left_derivative - stencil.left_derivative) \
+        / abs(closed.left_derivative)
+    orders = stencil.stencil_orders
+    return _report(
+        "derivative_jump_routes", closed.jump, stencil.jump, 1e-5,
+        [(err_jump, 1e-5), (err_left, 1e-10)],
+        {
+            "density": density,
+            "regime": regime.value,
+            "critical_temperature": closed.critical_temperature,
+            "jump_error": err_jump,
+            "left_derivative_error": err_left,
+            "stencil_levels": [orders["left"]["levels"],
+                               orders["right"]["levels"]],
+            "stencil_converged": [orders["left"]["converged"],
+                                  orders["right"]["converged"]],
+        },
+    )
+
+
+# ----------------------------------------------------------------------
 # Suite
 # ----------------------------------------------------------------------
 
@@ -482,12 +536,18 @@ def _suite_bessel() -> list[OracleReport]:
             for z, a_r in ((3.0, 5.0), (12.5, 10.0), (37.0, 20.0))]
 
 
+def _suite_jump() -> list[OracleReport]:
+    return [check_derivative_jump(1e2, Regime.RELATIVISTIC),
+            check_derivative_jump(1.0, Regime.NON_RELATIVISTIC)]
+
+
 _SUITE_BUILDERS = {
     "laplace": _suite_laplace,
     "matsubara": _suite_matsubara,
     "logsum": _suite_logsum,
     "poisson": _suite_poisson,
     "bessel": _suite_bessel,
+    "jump": _suite_jump,
 }
 FAMILIES = tuple(_SUITE_BUILDERS)
 

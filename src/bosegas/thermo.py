@@ -255,14 +255,14 @@ def _thermal_grid(mass: float, temperature: float, a: float
     return tuple(pts), 2.0 * decay
 
 
-def _occupation_integral(dimension: int, mass: float, temperature: float,
-                         a: float, moment: Callable, acc: AccuracyBudget
-                         ) -> float:
+def _occupation_spec(dimension: int, mass: float, temperature: float,
+                     a: float, moment: Callable, acc: AccuracyBudget
+                     ) -> RadialIntegralSpec:
     """int d^Dp/(2pi)^D moment(beta (omega - a), beta (omega + a), omega).
 
     ``a = |mu|`` in [0, m] and beta = 1/T; the first argument is formed
     cancellation-free (see ``_gap_frequencies``).  Every occupation
-    integral of ``thermo`` and ``condensate`` goes through here.
+    integral of ``thermo`` and ``condensate`` is built here.
     """
     beta = 1.0 / temperature
 
@@ -271,9 +271,16 @@ def _occupation_integral(dimension: int, mass: float, temperature: float,
         return moment(beta * below, beta * (omega + a), omega)
 
     pts, scale = _thermal_grid(mass, temperature, a)
-    return integrate_radial(RadialIntegralSpec(
-        dimension, integrand, singular_points=pts, accuracy=acc,
-        tail_scale=scale))
+    return RadialIntegralSpec(dimension, integrand, singular_points=pts,
+                              accuracy=acc, tail_scale=scale)
+
+
+def _occupation_integral(dimension: int, mass: float, temperature: float,
+                         a: float, moment: Callable, acc: AccuracyBudget
+                         ) -> float:
+    """The occupation integral of ``_occupation_spec``, value only."""
+    return integrate_radial(_occupation_spec(dimension, mass, temperature,
+                                             a, moment, acc))
 
 
 def _boundary_charged(x_minus, x_plus, omega):

@@ -18,8 +18,8 @@ import math
 import pytest
 
 import bosegas
-from bosegas.condensate import (ChargeSpec, Regime, critical_temperature,
-                                discontinuity_estimate,
+from bosegas.condensate import (ChargeSpec, Regime, _stencil_discontinuity,
+                                critical_temperature, discontinuity_estimate,
                                 mutual_info_at_fixed_charge,
                                 solve_chemical_potential)
 from bosegas.oracles import check_bessel_identities, check_f_n_alpha, run_suite
@@ -313,7 +313,10 @@ class TestPackageSurface:
     def test_discontinuity_payload_serializes(self):
         # the full diagnostics payload must stay JSON-serializable
         params = ModelParams(1.0, 3, 1e4, FieldKind.CHARGED_COMPLEX)
-        result = discontinuity_estimate(
-            params, Geometry(), ChargeSpec(1.0, Regime.NON_RELATIVISTIC))
+        charge = ChargeSpec(1.0, Regime.NON_RELATIVISTIC)
+        result = discontinuity_estimate(params, Geometry(), charge)
         text = json.dumps(result.stencil_orders, sort_keys=True)
+        assert "route" in text
+        stencil = _stencil_discontinuity(params, Geometry(), charge)
+        text = json.dumps(stencil.stencil_orders, sort_keys=True)
         assert "converged" in text

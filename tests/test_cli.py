@@ -13,7 +13,8 @@ import pytest
 
 from bosegas import cli, condensate
 from bosegas.cli import main
-from bosegas.condensate import ChargeSpec, Regime, critical_temperature
+from bosegas.condensate import (ChargeSpec, Regime, _stencil_discontinuity,
+                                critical_temperature)
 from bosegas.errors import ConvergenceError
 from bosegas.specfun import AccuracyBudget
 from bosegas.thermo import (FieldKind, Geometry, ModelParams, ThermalPoint,
@@ -264,7 +265,23 @@ class TestDiscontinuity:
             assert key in payload
         assert abs(payload["relative_deviation"]) < 0.02
         assert payload["diagnostics"]["sign_finding"] is None
-        assert payload["diagnostics"]["left"]["converged"] is True
+        assert payload["diagnostics"]["route"] == "closed-form"
+        assert payload["diagnostics"]["left"]["levels"] == 0
+        # the stencil cross-check is not reachable from the CLI
+        stencil = _stencil_discontinuity(
+            ModelParams(1.0, 3, 1e4, FieldKind.CHARGED_COMPLEX), Geometry(),
+            ChargeSpec(1.0, Regime.NON_RELATIVISTIC))
+        assert stencil.stencil_orders["left"]["converged"] is True
+
+    @pytest.mark.filterwarnings("ignore:sign finding")
+    def test_rel_payload_at_high_density(self, capsys):
+        code, out = run(capsys, ["discontinuity", "--charge-density", "1e10",
+                                 "--regime", "rel"])
+        assert code == 0
+        payload = json.loads(out)
+        tc = payload["critical_temperature"]
+        assert abs(payload["jump"] / (math.pi * tc / 9.0) - 1.0) < 1e-11
+        assert payload["diagnostics"]["sign_finding"] is not None
 
 
 class TestVerify:

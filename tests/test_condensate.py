@@ -6,7 +6,11 @@ Closed-form references (all evaluated in-test):
   and the excited-fraction power law (T / T_C)^(3/2);
 * charge density at mu = m approaching m T^2/3 + m^3/(12 pi^2) at high T;
 * one-sided slopes +/- pi T_C / 18 of the thermal boundary part at the
-  relativistic transition, and the jump magnitude pi T_C / 9.
+  relativistic transition, and the jump magnitude pi T_C / 9;
+* the NR jump (pi/4) V_2 rho / (m T_C), exact on the closed-form route.
+
+The closed-form jump is also checked against the one-sided stencils of
+``_stencil_discontinuity``, an independent route.
 
 One frozen anchor (the refined relativistic T_C at rho = 1e4, m = 1) guards
 quadrature drift.  Work-count tests pin how many radial integrals the
@@ -18,10 +22,11 @@ import warnings
 
 import pytest
 
-from bosegas import thermo
+from bosegas import condensate, quadrature
 from bosegas.condensate import (ChargeSpec, CondensateState, Phase, Regime,
-                                charge_density_rel, critical_temperature,
-                                discontinuity_estimate, excited_density_nr,
+                                _stencil_discontinuity, charge_density_rel,
+                                critical_temperature, discontinuity_estimate,
+                                excited_density_nr,
                                 mutual_info_at_fixed_charge,
                                 solve_chemical_potential, sweep)
 from bosegas.specfun import AccuracyBudget, zeta
@@ -365,13 +370,32 @@ class TestDiscontinuity:
         assert rel(tc, tc_nr()) < 1e-13
         analytic = 0.25 * math.pi * 1.0 / (1.0 * tc)
         assert rel(result.analytic_jump, analytic) < 1e-14
-        assert rel(result.jump, analytic) < 0.02
+        assert rel(result.jump, analytic) < 1e-12
         assert result.stencil_orders["sign_finding"] is None
-        assert result.stencil_orders["left"]["converged"]
-        assert result.stencil_orders["right"]["converged"]
+        assert result.stencil_orders["route"] == "closed-form"
+        stencil = _stencil_discontinuity(charged_params(), GEO, nr_charge())
+        assert rel(stencil.jump, analytic) < 0.02
+        assert stencil.stencil_orders["sign_finding"] is None
+        assert stencil.stencil_orders["left"]["converged"]
+        assert stencil.stencil_orders["right"]["converged"]
         # alternate-normalization jump: exactly 4 pi^2 times the series one
         rescaled = result.stencil_orders["nr_rescaled_convention_jump"]
         assert rel(rescaled, 4.0 * math.pi ** 2 * analytic) < 1e-12
+
+    @pytest.mark.parametrize("rho,mass,v2", [(1e-3, 1.0, 1.0), (1.0, 2.0, 3.0),
+                                             (5.0, 0.5, 0.25)])
+    def test_nr_closed_form(self, rho, mass, v2):
+        params = charged_params(mass=mass)
+        result = discontinuity_estimate(params, Geometry(two_volume=v2),
+                                        nr_charge(rho))
+        tc = result.critical_temperature
+        jump = 0.25 * math.pi * v2 * rho / (mass * tc)
+        assert rel(result.jump, jump) < 1e-12
+        assert rel(result.left_derivative, jump) < 1e-12
+        assert result.right_derivative == 0.0
+        assert result.stencil_orders["left"]["levels"] == 0
+        assert result.stencil_orders["right"]["levels"] == 0
+        assert result.stencil_orders["achieved"] == {}
 
     def test_nr_right_slope_is_zero(self):
         result = discontinuity_estimate(charged_params(), GEO, nr_charge())
@@ -383,8 +407,8 @@ class TestDiscontinuity:
         with pytest.warns(UserWarning, match="sign finding"):
             result = discontinuity_estimate(params, GEO, rel_charge(1.0e4))
         tc = result.critical_temperature
-        # measured slopes approach +/- pi T_C / 18; the closed-form
-        # prediction has magnitude pi T_C / 9 but the opposite sign
+        # slopes approach +/- pi T_C / 18; the closed-form prediction has
+        # magnitude pi T_C / 9 but the opposite (right - left) sign
         assert rel(result.left_derivative, math.pi * tc / 18.0) < 1e-3
         assert rel(result.right_derivative, -math.pi * tc / 18.0) < 5e-3
         assert abs(abs(result.jump / result.analytic_jump) - 1.0) < 0.01
@@ -392,22 +416,68 @@ class TestDiscontinuity:
         assert result.analytic_jump < 0.0
         finding = result.stencil_orders["sign_finding"]
         assert finding is not None and "opposite signs" in finding
-        assert result.stencil_orders["left"]["converged"]
-        assert result.stencil_orders["right"]["converged"]
+        assert "closed-form" in finding
+        stencil = _stencil_discontinuity(params, GEO, rel_charge(1.0e4))
+        assert stencil.stencil_orders["left"]["converged"]
+        assert stencil.stencil_orders["right"]["converged"]
 
     @pytest.mark.filterwarnings("ignore:sign finding")
     @pytest.mark.parametrize("rho", [1.0e5, 1.0e6])
     def test_rel_jump_magnitude_at_high_density(self, rho):
-        # The right stencil differences I_m over steps down to h ~ 3e-9
-        # T_C, so it settles only when every integral meets its rtol.
-        result = discontinuity_estimate(
-            charged_params(), GEO, rel_charge(rho),
-            AccuracyBudget(relative_tolerance=1e-8))
+        acc = AccuracyBudget(relative_tolerance=1e-8)
+        result = discontinuity_estimate(charged_params(), GEO,
+                                        rel_charge(rho), acc)
         closed_form = math.pi * math.sqrt(3.0) / 9.0 * math.sqrt(rho)
         assert rel(abs(result.jump), closed_form) < 1e-3
         assert rel(abs(result.analytic_jump), closed_form) < 1e-12
         if rho == 1.0e5:
-            assert result.stencil_orders["right"]["levels"] == 5
+            # The right stencil differences I_m over steps down to h ~ 3e-9
+            # T_C, so it settles only when every integral meets its rtol.
+            stencil = _stencil_discontinuity(charged_params(), GEO,
+                                             rel_charge(rho), acc)
+            assert stencil.stencil_orders["right"]["levels"] == 5
+
+    @pytest.mark.filterwarnings("ignore:sign finding")
+    @pytest.mark.parametrize("rho", [1.0e4, 1.0e8, 1.0e10, 1.0e11])
+    def test_rel_jump_is_ultra_relativistic_limit(self, rho):
+        # m / T_C -> 0: the jump tends to pi T_C / 9, which the stencil
+        # route missed at 1e10 and 1e11
+        result = discontinuity_estimate(
+            charged_params(), GEO, rel_charge(rho),
+            AccuracyBudget(relative_tolerance=1e-8))
+        tc = result.critical_temperature
+        assert abs(result.jump / (math.pi * tc / 9.0) - 1.0) <= 1e-11
+        orders = result.stencil_orders
+        assert orders["route"] == "closed-form"
+        assert orders["left"]["levels"] == 0
+        assert orders["right"]["levels"] == 0
+        assert set(orders["achieved"]) == {"left_derivative", "jump"}
+        assert all(0.0 <= e <= 1e-13 for e in orders["achieved"].values())
+
+    @pytest.mark.filterwarnings("ignore:sign finding")
+    @pytest.mark.parametrize("rho", [1e-5, 1.0, 1.0e2, 1.0e4])
+    def test_rel_closed_form_matches_stencils(self, rho):
+        # rho = 1e-5 puts 2m / T_C near 2e3, where e^(2m/T) overflows
+        acc = AccuracyBudget(relative_tolerance=1e-8)
+        closed = discontinuity_estimate(charged_params(), GEO,
+                                        rel_charge(rho), acc)
+        stencil = _stencil_discontinuity(charged_params(), GEO,
+                                         rel_charge(rho), acc)
+        assert stencil.stencil_orders["route"] == "stencil"
+        assert stencil.critical_temperature == closed.critical_temperature
+        assert rel(closed.jump, stencil.jump) <= 1e-5
+        assert rel(closed.left_derivative, stencil.left_derivative) <= 1e-10
+
+    def test_stencil_right_side_unsettled_at_high_density(self):
+        # A finding of the stencil route, kept: at rho = 1e8 the right
+        # stencil stops on its noise guard after 8 levels, not converged.
+        stencil = _stencil_discontinuity(
+            charged_params(), GEO, rel_charge(1.0e8),
+            AccuracyBudget(relative_tolerance=1e-8))
+        right = stencil.stencil_orders["right"]
+        assert right["levels"] == 8
+        assert right["converged"] is False
+        assert stencil.stencil_orders["left"]["converged"] is True
 
 
 class TestStateShape:
@@ -429,14 +499,17 @@ class TestRootSolveWork:
 
     @pytest.fixture
     def integrals(self, monkeypatch):
+        # Every radial integral, whether through integrate_radial or, for
+        # the closed-form jump, straight through the report.
         calls = [0]
-        inner = thermo.integrate_radial    # every occupation integral
+        inner = quadrature._integrate_radial_report
 
         def counted(spec):
             calls[0] += 1
             return inner(spec)
 
-        monkeypatch.setattr(thermo, "integrate_radial", counted)
+        for module in (quadrature, condensate):
+            monkeypatch.setattr(module, "_integrate_radial_report", counted)
         return calls
 
     def test_rel_tc(self, integrals):
@@ -457,8 +530,8 @@ class TestRootSolveWork:
     def test_rel_discontinuity(self, integrals, gk15_panels):
         discontinuity_estimate(charged_params(), GEO, rel_charge(1.0e4),
                                self.CLI_ACC)
-        assert integrals[0] < 170
-        assert gk15_panels[0] <= 6_000
+        assert integrals[0] <= 8
+        assert gk15_panels[0] <= 600
 
     @pytest.mark.parametrize("temp,gap", [(170.0, 1e-4), (300.0, 0.0),
                                           (1000.0, 0.1), (20.0, 1e-8)])

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from bosegas import oracles
 from bosegas.oracles import (FAMILIES, OracleReport, check_bessel_identities,
                              check_f_n_alpha, check_log_sum_derivative,
                              check_matsubara_sum, check_poisson_resummation,
@@ -20,7 +21,7 @@ def suite():
 
 class TestSuite:
     def test_lattice_size_and_all_pass(self, suite):
-        assert len(suite) == 44
+        assert len(suite) == 46
         failed = [r for r in suite if not r.passed]
         assert failed == []
 
@@ -38,6 +39,7 @@ class TestSuite:
             "log_determinant_derivative_sum",
             "poisson_resummation",
             "bessel_sum_rules",
+            "derivative_jump_routes",
         }
 
     def test_selection_filters_and_orders(self):
@@ -61,7 +63,7 @@ class TestSuite:
 
     def test_families_constant(self):
         assert FAMILIES == ("laplace", "matsubara", "logsum", "poisson",
-                            "bessel")
+                            "bessel", "jump")
 
 
 class TestMatsubara:
@@ -93,7 +95,7 @@ class TestLaplace:
         assert rep.passed
         assert abs(rep.parameters["finite_part_fit"]) < 1e-4
 
-    # (n, alpha, orders_summed)
+    # (n, alpha, order_cap)
     LATTICE = [
         (1.0, 1.5, 39), (1.0, 2.0, 29), (1.0, 3.0, 21),
         (2.0, 1.5, 77), (2.0, 2.0, 57), (2.0, 3.0, 42),
@@ -107,9 +109,31 @@ class TestLaplace:
     def test_every_transform_is_tight(self, n, alpha, orders):
         rep = check_f_n_alpha(n, alpha)
         assert rep.passed
-        assert rep.parameters["orders_summed"] == orders
+        assert rep.parameters["order_cap"] == orders
+        assert rep.parameters["orders_summed"] <= orders
         assert rep.parameters["max_single_transform_error"] <= 1e-12
         assert abs(rep.lhs - rep.rhs) / rep.rhs <= 1e-12
+
+    @pytest.mark.parametrize("n,alpha,summed", [
+        (1.0, 2.0, 27), (4.0, 1.5, 145), (1.0, 1.01, 245)])
+    def test_orders_summed_counts_the_orders_integrated(self, n, alpha,
+                                                        summed, monkeypatch):
+        orders = []
+        inner = oracles._laplace_bessel_quads
+
+        def recording(*args):
+            quad = inner(*args)
+
+            def counted(m):
+                orders.append(m)
+                return quad(m)
+            return counted
+
+        monkeypatch.setattr(oracles, "_laplace_bessel_quads", recording)
+        rep = check_f_n_alpha(n, alpha)
+        assert orders == list(range(summed + 1))
+        assert rep.parameters["orders_summed"] == summed
+        assert rep.parameters["order_cap"] > summed
 
     def test_node_table_is_local_to_one_check(self):
         first = (2.0, 1.5)
@@ -131,6 +155,27 @@ class TestLaplace:
             check_f_n_alpha(0.5, 2.0)
         with pytest.raises(ValueError):
             check_f_n_alpha(1.0, 1.0)
+
+
+class TestDerivativeJump:
+    @pytest.fixture
+    def reports(self, suite):
+        return [r for r in suite
+                if r.identity_name == "derivative_jump_routes"]
+
+    def test_family_rows(self, reports):
+        assert [(r.parameters["regime"], r.parameters["density"])
+                for r in reports] == [("rel", 1e2), ("nr", 1.0)]
+        for r in reports:
+            assert r.passed
+            assert r.parameters["jump_error"] <= 1e-5
+            assert r.parameters["left_derivative_error"] <= 1e-10
+            assert r.parameters["stencil_converged"] == [True, True]
+
+    def test_relativistic_row_is_the_closed_form(self, reports):
+        rep = reports[0]
+        tc = rep.parameters["critical_temperature"]
+        assert abs(rep.lhs / (math.pi * tc / 9.0) - 1.0) < 1e-7
 
 
 class TestLogSum:
