@@ -19,12 +19,13 @@ or more panels at once) and must act elementwise; an integrand that only
 takes scalars is called point by point instead.
 
 ``sum_bilateral`` evaluates :math:`\sum_{k=-\infty}^{\infty} g(k)` by direct
-symmetric summation plus an Euler-Maclaurin midpoint tail correction, so
-power-law tails (down to the contractual :math:`1/k^2`) converge without
-astronomically many terms.  The tail correction evaluates the summand at
-non-integer arguments (in arrays, like a radial integrand, when the summand
-accepts them); physical summands are analytic in the index, which makes
-that well defined.
+symmetric summation to |k| = 16, 32, 64, ..., plus at each checkpoint an
+Euler-Maclaurin midpoint tail per side from a = k + 1/2 (GK15 in t = a/v
+over v in [1e-12, 1] on nested levels of equal panels, and g'/24 -
+7 g'''/5760 from lattice differences), so :math:`1/k^2` tails converge
+cheaply; one summand call, at non-integer k too, serves each checkpoint.  A
+summand may map a column of k, shape (nk, 1), to (nk, n) values: n sums,
+each settled at its own first checkpoint, whatever the rest of the batch.
 
 Both drivers are deterministic: same inputs, same float operations, same
 result bytes.
@@ -72,12 +73,10 @@ _WG_HALF = (
     0.417959183673469387755102040816327,
 )
 
-_XGK = np.array([-v for v in _XGK_HALF[:7]] + [0.0]
-                + [v for v in reversed(_XGK_HALF[:7])])
-_WGK = np.array(list(_WGK_HALF[:7]) + [_WGK_HALF[7]]
-                + list(reversed(_WGK_HALF[:7])))
+_XGK = np.concatenate([np.negative(_XGK_HALF[:7]), _XGK_HALF[::-1]])
+_WGK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
 _WG15 = np.zeros(15)
-_WG15[1:14:2] = list(_WG_HALF[:3]) + [_WG_HALF[3]] + list(reversed(_WG_HALF[:3]))
+_WG15[1:14:2] = _WG_HALF + _WG_HALF[-2::-1]
 
 _TINY_TOTAL = 1e-300
 _MIN_PANEL_FACTOR = 50.0   # panels narrower than ~50 ulp are not split further
@@ -105,13 +104,14 @@ class _VectorizedCallable:
         if self._mode != "scalar":
             try:
                 out = np.asarray(self._f(xs), dtype=float)
-                if out.shape == xs.shape:
+                if out.ndim == xs.ndim and out.shape[0] == xs.shape[0]:
                     self._mode = "vector"
                     return out
             except (TypeError, ValueError, IndexError):
                 pass
             self._mode = "scalar"
-        return np.array([float(self._f(float(x))) for x in xs])
+        return np.array([float(self._f(float(x)))
+                         for x in xs.ravel()]).reshape(xs.shape)
 
 
 def _gk15_batch(f: _Integrand, spans: Sequence[tuple[float, float]],
@@ -302,72 +302,86 @@ def _integrate_radial_report(spec: RadialIntegralSpec) -> tuple[float, float]:
     return angular * value, angular * err
 
 
-_V_MIN_TAIL = 1e-12   # truncates the mapped tail at t = a / _V_MIN_TAIL
+_V_MIN_TAIL = 1e-12   # keeps t = a/v finite; drops < 1e-12 of a 1/k^2 tail
+_WKG = np.stack([_WGK, _WGK - _WG15])   # Kronrod, and Kronrod minus Gauss
+_EM_WEIGHTS = np.array([7.0, -261.0, 261.0, -7.0]) / 5760.0  # g(k-1 .. k+2)
 
 
-def _em_tail_correction(g: Callable[[float], float], a: float,
-                        tail_acc: AccuracyBudget) -> float:
-    """Estimate sum over integers k > a of g(k), for half-integer ``a``.
-
-    Euler-Maclaurin midpoint form: integral over [a, inf) plus
-    g'(a)/24 - 7 g'''(a)/5760, the derivatives taken with integer-offset
-    central differences so only lattice values of g are needed.  The
-    integral, to the budget ``tail_acc``, uses the algebraic map t = a / v
-    over v in [1e-12, 1]; the truncation discards at most a ~1e-12
-    relative slice for a 1/k^2 tail (below the tail tolerance) and keeps t
-    finite even when the summand decays too slowly, so divergent sums
-    surface as the documented non-convergence error from the checkpoint
-    loop rather than overflow.
-    """
-    f = _VectorizedCallable(g)
-
-    def mapped(vs: np.ndarray) -> np.ndarray:
-        return f(a / vs) * a / vs ** 2
-
-    integral, _ = _adaptive([(mapped, [(_V_MIN_TAIL, 1.0)])], tail_acc,
-                            "v(sum tail)")
-    k = a - 0.5     # last summed integer
-    gp = g(k + 1.0) - g(k)
-    gppp = g(k + 2.0) - 3.0 * g(k + 1.0) + 3.0 * g(k) - g(k - 1.0)
-    return integral + gp / 24.0 - 7.0 * gppp / 5760.0
+def _gk15_rows(y: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 (integral, error) per row of ``y`` (15 values per panel of
+    half-width ``half``), reduced within each row; equal values give 0."""
+    y = y.reshape(*y.shape[:-1], -1, 1, 15)
+    res = (y * _WKG).sum(axis=-1)
+    resk = res[..., 0]
+    resasc = (np.abs(y[..., 0, :] - 0.5 * resk[..., None]) * _WGK).sum(-1)
+    ratio = 200.0 * np.abs(res[..., 1]) / np.maximum(resasc, _TINY_TOTAL)
+    err = resasc * np.minimum(1.0, ratio) ** 1.5
+    return resk.sum(axis=-1) * half, err.sum(axis=-1) * half
 
 
-def sum_bilateral(term: Callable[[float], float],
-                  acc: AccuracyBudget = DEFAULT_BUDGET) -> float:
-    """Sum ``term(k)`` over all integers ``k`` from -inf to inf.
+def _tail_nodes(level: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes v, 1/v^2 and half-width of 2**level GK15 panels on [1e-12, 1]."""
+    half = 0.5 * (1.0 - _V_MIN_TAIL) / 2 ** level
+    centers = _V_MIN_TAIL + half * (2.0 * np.arange(2 ** level) + 1.0)
+    vs = (centers[:, None] + half * _XGK).ravel()
+    return vs, 1.0 / vs ** 2, half
 
-    Direct symmetric summation over growing blocks, with an
-    Euler-Maclaurin midpoint tail estimate added on each side at every
-    checkpoint; converged when two successive checkpoint totals agree to
-    the requested relative tolerance.  The summand must decay at least
-    like 1/k^2 and accept non-integer arguments for the tail estimate.
-    """
-    def mirrored(t: float) -> float:
-        return term(-t)
 
-    tail_acc = AccuracyBudget(
-        relative_tolerance=min(1e-3, 10.0 * acc.relative_tolerance),
-        max_terms=acc.max_terms,
-        max_subdivisions=max(64, acc.max_subdivisions // 4))
-    direct = term(0.0)
+def sum_bilateral(term: Callable, acc: AccuracyBudget = DEFAULT_BUDGET
+                  ) -> float | np.ndarray:
+    """Sum ``term(k)`` over all integers ``k`` (see the module doc): a float
+    for a batch of one, else the n sums.  Raises ``ConvergenceError`` if a
+    sum is unsettled at |k| = max_terms / 2, or if the tail of an unsettled
+    sum misses min(1e-3, 10 rtol) at the most panels, 2**j <= max(64,
+    max_subdivisions // 4).  Its ``estimate`` (settled values, else last
+    candidates) and relative ``achieved`` (the change between the last two
+    candidates, NaN after one, or the failed tail's error) are shaped like
+    the result."""
+    f = _VectorizedCallable(term)
+    tail_rtol = min(1e-3, 10.0 * acc.relative_tolerance)
+    max_level = max(64, acc.max_subdivisions // 4).bit_length() - 1
     k_max = max(16, acc.max_terms // 2)
-    prev_candidate = None
-    k_checkpoint = 16
-    k = 0
-    while k < k_max:
-        while k < k_checkpoint:
-            k += 1
-            direct += term(float(k)) + term(float(-k))
-        a = k + 0.5
-        corr = (_em_tail_correction(term, a, tail_acc)
-                + _em_tail_correction(mirrored, a, tail_acc))
-        candidate = direct + corr
-        if prev_candidate is not None:
-            tol = acc.relative_tolerance * max(abs(candidate), _TINY_TOTAL)
-            if abs(candidate - prev_candidate) <= tol:
-                return candidate
-        prev_candidate = candidate
-        k_checkpoint *= 2
+    batch = lambda x: float(x[0]) if x.size == 1 else x  # noqa: E731
+
+    def values(side: np.ndarray) -> np.ndarray:     # (n, 2 signs, len(side))
+        out = f(np.concatenate((side, -side))[:, None])
+        return np.ascontiguousarray(out.T).reshape(-1, 2, len(side))
+
+    (vs, inv_v2, half), lo, hi = _tail_nodes(0), 1, 16
+    # scalars until the first call fixes n, then arrays of n
+    settled, best, change, prev = np.False_, math.nan, math.nan, None
+    while lo <= k_max:
+        a, nb, open_ = hi + 0.5, hi - lo + 1, ~settled
+        # the block and hi + 1, hi + 2 for the lattice, the tail nodes, 0
+        ys = values(np.concatenate((np.arange(lo, hi + 3.0), a / vs, [0.0])))
+        total = (ys[:, 0, -1] if prev is None else total) + (
+            ys[:, 0, :nb] + ys[:, 1, :nb]).sum(axis=-1)
+        tail, err = _gk15_rows(ys[:, :, nb + 2:-1] * (a * inv_v2), half)
+        level, need = 0, open_[..., None] & (
+            err > np.maximum(tail_rtol * np.abs(tail), _TINY_TOTAL))
+        while need.any() and level < max_level:
+            level += 1
+            v2, w2, h2 = _tail_nodes(level)
+            t2, e2 = _gk15_rows(values(a / v2) * (a * w2), h2)
+            tail, err = np.where(need, t2, tail), np.where(need, e2, err)
+            need &= e2 > np.maximum(tail_rtol * np.abs(t2), _TINY_TOTAL)
+        corr = tail + (ys[:, :, nb - 2:nb + 2] * _EM_WEIGHTS).sum(axis=-1)
+        candidate = total + (corr[:, 0] + corr[:, 1])
+        scale = np.maximum(np.abs(candidate), _TINY_TOTAL)
+        if prev is not None:
+            change = np.where(open_, np.abs(candidate - prev) / scale, change)
+            settled = change <= acc.relative_tolerance
+        best = np.where(open_, candidate, best)
+        if not np.isfinite(best).all():
+            raise ValueError(f"summand not finite at some |k| <= {hi + 2}")
+        if need.any():
+            change = np.where(need.any(1), err.sum(1) / scale, change)
+            raise ConvergenceError(
+                f"bilateral sum tail unsettled at {2 ** level} panels",
+                batch(best), batch(change))
+        if settled.all():
+            return batch(best)
+        prev, lo, hi = candidate, hi + 1, 2 * hi
     raise ConvergenceError(
         f"bilateral sum did not settle within {k_max} terms per side",
-        estimate=prev_candidate if prev_candidate is not None else direct)
+        estimate=batch(best), achieved=batch(change))

@@ -479,10 +479,12 @@ def _bessel_j_series(nu: float, x: float) -> float:
     term = math.exp(nu * math.log(q) - math.lgamma(nu + 1.0)) if q > 0 else \
         (1.0 if nu == 0.0 else 0.0)
     terms = [term]
+    peak = abs(term)
     for k in range(0, 400):
         term *= -(q * q) / ((k + 1.0) * (k + 1.0 + nu))
         terms.append(term)
-        if abs(term) < 1e-18 * max(abs(t) for t in terms):
+        peak = max(peak, abs(term))
+        if abs(term) < 1e-18 * peak:
             return math.fsum(terms)
     raise ConvergenceError("J_nu series stalled")
 

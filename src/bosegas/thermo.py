@@ -426,7 +426,12 @@ def boundary_thermal_matsubara(params: ModelParams, geometry: Geometry,
              - \frac{\beta}{2\omega}\Big]
 
     for the charged field; the neutral field is half of this at mu = 0.
-    Slower than the direct route; intended for validation.
+    Each integrand call of the radial quadrature runs one frequency sum
+    over all of its momentum nodes (one ``sum_bilateral`` call with an
+    (nk, nodes) summand), and every node's sum settles on its own, so its
+    value does not depend on the nodes it shares the call with.  Intended
+    for validation: 8-20 ms per point for m = 1, T = 0.8-3, D = 1-3, about
+    2.5-6x the cost of a whole direct-route report (2-CPU Xeon host).
     """
     if acc is None:
         acc = AccuracyBudget(relative_tolerance=1e-9, max_terms=200_000,
@@ -439,16 +444,15 @@ def boundary_thermal_matsubara(params: ModelParams, geometry: Geometry,
                              max_terms=acc.max_terms,
                              max_subdivisions=acc.max_subdivisions)
 
-    def summed(p: float) -> float:
-        omega2 = p * p + m * m
-        omega = math.sqrt(omega2)
+    def summed(ps: np.ndarray) -> np.ndarray:
+        omega2 = ps * ps + m * m
 
-        def term(k: float) -> float:
+        def term(k: np.ndarray) -> np.ndarray:   # (nk, 1) -> (nk, len(ps))
             wk = two_pi_over_beta * k
             re_den = omega2 + wk * wk - a * a
             return re_den / (re_den * re_den + 4.0 * wk * wk * a * a)
 
-        return sum_bilateral(term, sum_acc) - 0.5 * beta / omega
+        return sum_bilateral(term, sum_acc) - 0.5 * beta / np.sqrt(omega2)
 
     pts, scale = _thermal_grid(m, point.temperature, a)
     spec = RadialIntegralSpec(params.dimension, summed,

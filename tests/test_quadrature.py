@@ -288,3 +288,107 @@ class TestSumBilateral:
             sum_bilateral(lambda k: 1.0 / (1.0 + abs(k)),
                           AccuracyBudget(relative_tolerance=1e-10,
                                          max_terms=2000))
+
+
+def frequency_terms(beta, omega, mu):
+    """Re[1/((omega_k + i mu)^2 + omega^2)], omega_k = 2 pi k / beta,
+    elementwise over broadcastable beta, omega and mu."""
+    def term(k):
+        wk = 2.0 * math.pi / beta * k
+        re_den = omega * omega + wk * wk - mu * mu
+        return re_den / (re_den * re_den + 4.0 * wk * wk * mu * mu)
+    return term
+
+
+def two_channel_coth(beta, omega, mu):
+    return beta / (4.0 * omega) * (1.0 / np.tanh(0.5 * beta * (omega - mu))
+                                   + 1.0 / np.tanh(0.5 * beta * (omega + mu)))
+
+
+class TestElementwiseSums:
+    """A summand mapping a column of k to (nk, n) values gives n sums."""
+
+    ACC = AccuracyBudget(relative_tolerance=5e-11)
+
+    def test_batch_is_bytewise_the_single_sums(self):
+        rng = np.random.default_rng(7)
+        beta = rng.uniform(0.2, 5.0, 40)
+        omega = rng.uniform(0.5, 3.0, 40)
+        mu = omega * rng.uniform(0.0, 0.95, 40)
+        batch = sum_bilateral(frequency_terms(beta, omega, mu), self.ACC)
+        assert batch.shape == (40,)
+        for i in range(40):
+            one = sum_bilateral(
+                frequency_terms(beta[i:i + 1], omega[i:i + 1], mu[i:i + 1]),
+                self.ACC)
+            assert isinstance(one, float)
+            assert np.float64(one).tobytes() == batch[i].tobytes()
+            # the float-only summand goes point by point through the
+            # scalar fallback and still gives the same bytes
+            scalar = sum_bilateral(frequency_terms(
+                float(beta[i]), float(omega[i]), float(mu[i])), self.ACC)
+            assert np.float64(scalar).tobytes() == batch[i].tobytes()
+
+    def test_refined_tails_are_bytewise_the_single_sums(self):
+        # e^(-|k|/L) for L up to 60 puts the tail integrand's peak inside
+        # [1e-12, 1] in v, so its tails refine to different levels
+        lengths = np.geomspace(1.0, 60.0, 12)
+        batch = sum_bilateral(lambda k: np.exp(-np.abs(k) / lengths),
+                              self.ACC)
+        for i, length in enumerate(lengths):
+            one = sum_bilateral(lambda k: np.exp(-np.abs(k) / length),
+                                self.ACC)
+            assert np.float64(one).tobytes() == batch[i].tobytes()
+            assert rel(one, 1.0 / math.tanh(0.5 / length)) < 1e-9
+
+    def test_frequency_sum_matches_two_channel_coth(self):
+        omega = np.linspace(0.3, 4.0, 25)
+        mu = omega * np.linspace(0.0, 0.95, 25)[::-1]
+        for beta in (0.3, 1.0, 4.0):
+            sums = sum_bilateral(frequency_terms(beta, omega, mu))
+            exact = two_channel_coth(beta, omega, mu)
+            assert np.max(np.abs(sums / exact - 1.0)) < 1e-11
+
+    def test_divergent_element_raises_with_array_estimate(self):
+        # columns: sum 1/(1 + k^2) = pi coth(pi), sum 1/(1 + |k|) diverges,
+        # sum e^(-k^2)
+        def term(k):
+            return np.hstack([1.0 / (1.0 + k * k), 1.0 / (1.0 + np.abs(k)),
+                              np.exp(-k * k)])
+        acc = AccuracyBudget(relative_tolerance=1e-10, max_terms=2000)
+        with pytest.raises(ConvergenceError) as info:
+            sum_bilateral(term, acc)
+        estimate, achieved = info.value.estimate, info.value.achieved
+        assert estimate.shape == achieved.shape == (3,)
+        # the convergent sums report their last candidates
+        assert rel(estimate[0], math.pi / math.tanh(math.pi)) < 1e-7
+        gauss = 1.0 + 2.0 * math.fsum(math.exp(-float(k) ** 2)
+                                      for k in range(1, 10))
+        assert rel(estimate[2], gauss) < 1e-14
+        # the divergent one names its failure in its own element
+        assert np.isfinite(estimate[1]) and estimate[1] > 0.0
+        assert achieved[1] > acc.relative_tolerance
+
+    def test_property_elementwise_equals_single_and_coth(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        floats = st.floats
+
+        @hypothesis.settings(max_examples=25, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(st.lists(
+            st.tuples(floats(0.2, 5.0), floats(0.3, 4.0), floats(0.0, 0.95)),
+            min_size=1, max_size=12))
+        def check(points):
+            beta, omega, frac = (np.array(c) for c in zip(*points))
+            mu = frac * omega
+            batch = np.atleast_1d(
+                sum_bilateral(frequency_terms(beta, omega, mu), self.ACC))
+            singles = np.array([sum_bilateral(
+                frequency_terms(b, w, m), self.ACC)
+                for b, w, m in zip(beta, omega, mu)])
+            assert batch.tobytes() == singles.tobytes()
+            exact = two_channel_coth(beta, omega, mu)
+            assert np.max(np.abs(batch / exact - 1.0)) < 1e-10
+
+        check()

@@ -279,6 +279,19 @@ class TestMatsubaraRoute:
         alt = boundary_thermal_matsubara(params, GEO, pt)
         assert rel(alt, direct) < 1e-7
 
+    @pytest.mark.parametrize("kind", ["neutral", "charged"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_agrees_in_every_dimension(self, dim, kind):
+        if kind == "neutral":
+            params, pt = neutral(dim=dim), ThermalPoint(1.1)
+            direct = mutual_info_neutral(params, GEO, pt)
+        else:
+            params = charged(dim=dim)
+            pt = ThermalPoint(0.8, chemical_potential=0.6)
+            direct = mutual_info_charged(params, GEO, pt)
+        alt = boundary_thermal_matsubara(params, GEO, pt)
+        assert rel(alt, direct.boundary_thermal_part) < 1e-7
+
 
 class TestHighTExpansion:
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
