@@ -11,7 +11,9 @@ Subcommands
     Temperature sweep of the full entropy decomposition at fixed
     chemical potential.
 ``mu-solve``
-    Fixed-charge chemical-potential solve per grid temperature.
+    Fixed-charge chemical-potential solve over the grid, all rows in one
+    lockstep solve, so each row's mu(T) is the one ``mutual-info`` prints
+    for it.
 ``tc``
     Critical temperature for the configured charge density.
 ``discontinuity``
@@ -46,9 +48,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
-from .condensate import (ChargeSpec, Regime, critical_temperature,
-                         discontinuity_estimate, solve_chemical_potential,
-                         sweep)
+from .condensate import (ChargeSpec, Regime, _solve_states,
+                         critical_temperature, discontinuity_estimate, sweep)
 from .errors import ConvergenceError
 from .oracles import FAMILIES, run_suite
 from .specfun import AccuracyBudget
@@ -278,40 +279,29 @@ _Rows = list[tuple[object, ...]]
 _Table = tuple[dict[str, object], Sequence[str], _Rows, bool]
 
 
-def _rows(grid: Sequence[float], row: Callable[[float], tuple[object, ...]],
-          failed_cells: tuple[object, ...]) -> tuple[_Rows, bool]:
-    """Rows (*row(T), error) per grid temperature, and whether any failed.
-
-    A row whose computation raises is written as (T, *failed_cells,
-    message) instead.
-    """
-    rows: _Rows = []
-    failed = False
-    for t in grid:
-        try:
-            rows.append((*row(t), ""))
-        except (ValueError, ConvergenceError) as exc:
-            failed = True
-            rows.append((t, *failed_cells, _sanitize(str(exc))))
-    return rows, failed
-
-
 def _fixed_mu_rows(config: RunConfig, grid: Sequence[float],
                    cells: Callable[[EntropyReport], tuple[float, ...]]
                    ) -> tuple[_Rows, bool]:
-    """Rows (T, mu, *cells(report), error) at the fixed chemical potential.
-
-    A failed row carries NaN in every ``cells`` column.
-    """
+    """Rows (T, mu, *cells(report), error) at the fixed chemical potential,
+    and whether any failed; a failed row carries NaN in every ``cells``
+    column and its message."""
     params = config.model()
     geometry = config.geometry()
     acc = config.accuracy()
     report = (mutual_info_neutral
               if params.field_kind is FieldKind.NEUTRAL_REAL
               else mutual_info_charged)
-    return _rows(grid, lambda t: (t, config.mu, *cells(
-        report(params, geometry, ThermalPoint(t, config.mu), acc))),
-        (config.mu, *[float("nan")] * _FIXED_MU_CELLS))
+    rows: _Rows = []
+    failed = False
+    for t in grid:
+        try:
+            rows.append((t, config.mu, *cells(report(
+                params, geometry, ThermalPoint(t, config.mu), acc)), ""))
+        except (ValueError, ConvergenceError) as exc:
+            failed = True
+            rows.append((t, config.mu, *[float("nan")] * _FIXED_MU_CELLS,
+                         _sanitize(str(exc))))
+    return rows, failed
 
 
 def _cmd_mutual_info(config: RunConfig) -> _Table:
@@ -364,15 +354,17 @@ def _cmd_mu_solve(config: RunConfig) -> _Table:
     meta = _meta_common(config, "mu-solve")
     meta["critical_temperature"] = tc
     columns = ("T", "mu", "z_nr", "rho_e", "rho_0", "phase", "error")
-
-    def row(t: float) -> tuple[object, ...]:
-        state = solve_chemical_potential(t, charge, config.mass, acc)
-        return (t, state.mu, state.z_nr, state.excited_density,
-                state.condensate_density, state.phase.value)
-
+    # The whole grid in one solve: the mu(T) of every row is the one a
+    # fixed-charge mutual-info sweep prints for it.
+    states = _solve_states(grid, charge, config.mass, acc)
     nan = float("nan")
-    rows, failed = _rows(grid, row, (nan, nan, nan, nan, ""))
-    return meta, columns, rows, failed
+    rows: _Rows = [
+        (t, nan, nan, nan, nan, "", _sanitize(str(s)))
+        if isinstance(s, Exception) else
+        (t, s.mu, s.z_nr, s.excited_density, s.condensate_density,
+         s.phase.value, "")
+        for t, s in zip(grid, states)]
+    return meta, columns, rows, any(isinstance(s, Exception) for s in states)
 
 
 def _cmd_tc(config: RunConfig) -> _Table:

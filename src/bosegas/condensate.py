@@ -17,9 +17,9 @@ by quadrature with the antiparticle branch always included.
 
 Every fixed-charge root solve (the relativistic :math:`T_C`, and
 :math:`\mu(T)` in both regimes) runs one safeguarded bracketed solver,
-``_solve_bracketed``: Newton or secant steps from the latest point, with
-bisection only when a step leaves the bracket or two steps in a row fail
-to halve the residual.  The gas-phase unknown is
+the ``_solve_bracketed`` coroutine: Newton or secant steps from the
+latest point, with bisection only when a step leaves the bracket or two
+steps in a row fail to halve the residual.  The gas-phase unknown is
 :math:`u = \sqrt{m - |\mu|}` (relativistic) or :math:`\sqrt{-\mu_{NR}/T}`
 (non-relativistic): the density falls like :math:`C - c\,u` just above
 :math:`T_C`, so it is close to linear in :math:`u` where it is singular in
@@ -28,9 +28,16 @@ to halve the residual.  The gas-phase unknown is
 :math:`|\mu|` itself.  The relativistic solve takes Newton steps with
 :math:`\partial\rho/\partial u` from one more occupation integral,
 :math:`\beta\,n(1+n)` on both branches, at a loose fixed budget (it only
-sets the step; the residual keeps the tight one).  Inside one
-:func:`sweep` each gas row starts from the previous gas rows, extrapolated
-linearly in :math:`u`.  Nothing is cached between calls.
+sets the step; the residual keeps the tight one).  :math:`T_C` and
+non-relativistic rows drive the solver one row at a time.  A
+relativistic :func:`sweep` runs its rows in lockstep: one batched
+capacity pass, one Newton solve over all gas rows, each from its own
+chord start, with one batched residual and one batched slope integral
+per round, and one batched pass per report moment.  Every batched
+integral refines each row on its own (``_integrate_radial_rows``),
+so a row's bytes do not depend on the rows swept with it;
+``solve_chemical_potential`` and ``mutual_info_at_fixed_charge`` are
+sweeps of one row.  Nothing is cached between calls.
 
 The fixed-charge mutual information across a dividing plane of transverse
 two-volume :math:`V_2` is assembled here with the boundary normalization
@@ -69,8 +76,8 @@ from .specfun import AccuracyBudget, DEFAULT_BUDGET, polylog, zeta
 from .quadrature import _integrate_radial_report
 from .thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
                      ThermalPoint, _bose, _boundary_charged, _entropy_charged,
-                     _entropy_report, _occupation_integral, _occupation_spec,
-                     zero_t_entanglement)
+                     _entropy_report, _occupation_integral, _occupation_rows,
+                     _occupation_spec, zero_t_entanglement)
 
 __all__ = [
     "ChargeSpec",
@@ -98,7 +105,7 @@ _AUTO_NR_MAX = 0.1
 _AUTO_REL_MIN = 10.0
 
 # The relativistic gas solve runs in |mu| instead of sqrt(m - |mu|) when
-# the root's lower bound lies below this fraction of m (see _solve_rel).
+# the root's lower bound lies below this fraction of m (see _rel_row).
 _SMALL_MU = 1e-3
 
 
@@ -241,20 +248,32 @@ def _charge_density_rel_at(temperature: float, mass: float, a: float,
     c = -math.expm1(-2.0 * a / temperature)
     return _occupation_integral(
         3, mass, temperature, a,
-        lambda x_minus, x_plus, _omega:
-            _bose(x_minus) * (1.0 + _bose(x_plus)) * c, acc)
+        lambda x_minus, x_plus, omega:
+            _capacity_moment(x_minus, x_plus, omega) * c, acc)
 
 
-def _charge_slope_rel_at(temperature: float, mass: float, a: float,
-                         acc: AccuracyBudget) -> float:
-    """d rho / d|mu| at |mu| = a < m: (1/T) int d^3p/(2pi)^3 sum n (1 + n)."""
+def _capacity_moment(x_minus, x_plus, _omega):
+    """n_- (1 + n_+): the charge moment without its factor 1 - e^(-2a/T)."""
+    return _bose(x_minus) * (1.0 + _bose(x_plus))
 
-    def moment(x_minus, x_plus, _omega):
-        n_minus, n_plus = _bose(x_minus), _bose(x_plus)
-        return n_minus * (1.0 + n_minus) + n_plus * (1.0 + n_plus)
 
-    return _occupation_integral(3, mass, temperature, a, moment,
-                                acc) / temperature
+def _slope_moment(x_minus, x_plus, _omega):
+    """T d rho / d|mu|: sum n (1 + n) over both branches."""
+    n_minus, n_plus = _bose(x_minus), _bose(x_plus)
+    return n_minus * (1.0 + n_minus) + n_plus * (1.0 + n_plus)
+
+
+def _charge_rows(temperatures: Sequence[float], mus: Sequence[float],
+                 mass: float, acc: AccuracyBudget, slope: bool = False
+                 ) -> list:
+    """Relativistic excited |charge| density (or, with ``slope``, its
+    |mu|-derivative) at one (T, a = |mu|) per row, in one batch; a row
+    whose integral fails holds its exception."""
+    moment = _slope_moment if slope else _capacity_moment
+    values = _occupation_rows(3, mass, temperatures, mus, moment, acc)
+    return [v if isinstance(v, Exception)
+            else v / t if slope else -math.expm1(-2.0 * a / t) * v
+            for v, t, a in zip(values, temperatures, mus)]
 
 
 def charge_density_rel(point: ThermalPoint, mass: float,
@@ -281,20 +300,19 @@ def charge_density_rel(point: ThermalPoint, mass: float,
 _MAX_ROOT_ITER = 200    # steps of one bracketed root search
 
 
-def _solve_bracketed(fn: Callable[[float], float], lo: float, hi: float,
-                     f_lo: float, f_hi: float, *, x_rtol: float,
-                     f_stop: Callable[[float], bool],
-                     guess: float | None = None,
-                     slope: Callable[[float], float | None] | None = None
-                     ) -> float:
-    """Safeguarded bracketed root finder.
+def _solve_bracketed(lo: float, hi: float, f_lo: float, f_hi: float, *,
+                     x_rtol: float, f_stop: Callable[[float], bool],
+                     guess: float | None = None, slope: bool = False):
+    """Safeguarded bracketed root finder, as a coroutine that yields
+    ("f", x) for the residual at x and, with ``slope``, ("d", x) for the
+    derivative there (or None), and returns the root.
 
     ``f(lo)`` and ``f(hi)`` must differ in sign.  The first point is
     ``guess`` when it lies inside the bracket; every later step starts
-    from the latest point, by Newton when ``slope`` gives a finite nonzero
-    derivative there, else by the secant through the two latest points.
-    A step that leaves the open bracket is replaced by bisection, and so
-    is the step after two in a row that failed to halve the smallest
+    from the latest point, by Newton when the derivative there is finite
+    and nonzero, else by the secant through the two latest points.  A
+    step that leaves the open bracket is replaced by bisection, and so is
+    the step after two in a row that failed to halve the smallest
     residual seen, which bounds the work on any bracket.  Stops when
     ``f_stop(residual)`` holds or the bracket shrinks to ``x_rtol``
     relative width.
@@ -315,7 +333,7 @@ def _solve_bracketed(fn: Callable[[float], float], lo: float, hi: float,
         if x_new is None and stalls < 2:
             # No slope at the initial bracket ends: they may sit at a
             # singular end of the domain.
-            d = slope(x_curr) if slope is not None and stepped else None
+            d = (yield "d", x_curr) if slope and stepped else None
             if d is not None and math.isfinite(d) and d != 0.0:
                 x_new = x_curr - f_curr / d
             elif f_curr != f_prev:
@@ -323,7 +341,7 @@ def _solve_bracketed(fn: Callable[[float], float], lo: float, hi: float,
         if x_new is None or not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
             stalls = 0
-        f_new = fn(x_new)
+        f_new = yield "f", x_new
         if f_stop(f_new):
             return x_new
         if f_lo * f_new <= 0.0:
@@ -340,6 +358,16 @@ def _solve_bracketed(fn: Callable[[float], float], lo: float, hi: float,
             return 0.5 * (lo + hi)
     raise ConvergenceError("bracketed root search exhausted its iterations",
                            estimate=0.5 * (lo + hi))
+
+
+def _solve_one(solve, fn: Callable[[float], float]) -> float:
+    """Drive a slope-free ``_solve_bracketed`` coroutine with ``fn``."""
+    residual = None
+    try:
+        while True:
+            residual = fn(solve.send(residual)[1])
+    except StopIteration as stop:
+        return stop.value
 
 
 def _resolve_regime(charge: ChargeSpec, mass: float) -> Regime:
@@ -401,103 +429,157 @@ def _solve_nr(temperature: float, rho_abs: float, mass: float,
     def residual(v: float) -> float:
         return polylog(1.5, math.exp(-v * v), acc) - target
 
-    v = _solve_bracketed(
-        residual, 0.0, v_hi, _ZETA_3_2 - target, residual(v_hi),
-        x_rtol=1e-14,
-        f_stop=lambda r: abs(r) <= residual_rtol * target)
+    v = _solve_one(_solve_bracketed(
+        0.0, v_hi, _ZETA_3_2 - target, residual(v_hi), x_rtol=1e-14,
+        f_stop=lambda r: abs(r) <= residual_rtol * target), residual)
     gap = temperature * v * v
     if gap > mass:
         warnings.warn(
             f"non-relativistic gas at T = {temperature!r}: the gap "
             f"m - |mu| = {gap:.6g} exceeds the mass {mass!r}, so |mu| > m; "
             "the NR regime does not describe this gas (use the relativistic "
-            "regime)", stacklevel=4)
+            "regime)", stacklevel=5)
     return gap, mass - gap, rho_abs, 0.0, Phase.GAS
 
 
-def _solve_rel(temperature: float, rho_abs: float, mass: float,
-               acc: AccuracyBudget, residual_rtol: float,
-               u_guess: float | None = None
-               ) -> tuple[float, float, float, float, Phase]:
-    """Return (gap, |mu|, excited, condensed, phase) for the relativistic gas.
+def _rel_row(rho_abs: float, mass: float, residual_rtol: float,
+             u_guess: float | None = None):
+    """Relativistic mu(T) solve of one row, as a coroutine that yields
+    ("f", a) for the excited density at |mu| = a and ("d", a) for d rho /
+    d|mu| (None if that failed), and returns (gap, |mu|, excited,
+    condensed, phase).
 
-    Newton in u = sqrt(gap), safeguarded by the bracket from u ~ 0
-    (capacity - rho) to u = sqrt(m) (mu = 0, residual -rho).  Without
-    ``u_guess`` the solve starts where the chord between the bracket ends
-    crosses zero in the gap itself: rho is convex in the gap, so that start
-    lies above the root, and close to it wherever rho is near-linear in
-    the gap (all but a thin layer just above T_C).
+    The first request is the capacity (a = m); below rho the row is
+    condensed.  In the gas, Newton in u = sqrt(gap), safeguarded by the
+    bracket from u ~ 0 (capacity - rho) to u = sqrt(m) (mu = 0, residual
+    -rho).  Without ``u_guess`` it starts where the chord between the
+    bracket ends crosses zero in the gap: rho is convex in the gap, so
+    that start lies above the root, and close to it wherever rho is
+    near-linear in the gap (all but a thin layer just above T_C).
 
     m - u^2 resolves |mu| only to ~1e-14 m.  rho is convex in |mu|, so
     a_low = m rho / capacity bounds the root from below; below _SMALL_MU m
     (far above T_C) the same solve runs in |mu| on [0, m] from a_low.
     """
-    q_acc = _solver_acc(acc)
-    capacity = _charge_density_rel_at(temperature, mass, mass, q_acc)
+    capacity = yield "f", mass
     if capacity <= rho_abs:
         return 0.0, mass, capacity, rho_abs - capacity, Phase.CONDENSED
-
-    s_acc = _slope_acc(acc)
-
-    def residual_at(a: float) -> float:
-        return _charge_density_rel_at(temperature, mass, a, q_acc) - rho_abs
-
-    def slope_at(a: float) -> float | None:
-        """d rho / d|mu| at |mu| = a; None where the integral fails."""
-        try:
-            return _charge_slope_rel_at(temperature, mass, a, s_acc)
-        except (ValueError, ConvergenceError):
-            return None
-
-    def converged(r: float) -> bool:
-        return abs(r) <= residual_rtol * rho_abs
-
     a_low = mass * rho_abs / capacity
-    if a_low < _SMALL_MU * mass:
-        a = _solve_bracketed(
-            residual_at, 0.0, mass, -rho_abs, capacity - rho_abs,
-            x_rtol=1e-14, f_stop=converged, guess=a_low, slope=slope_at)
-        return mass - a, a, rho_abs, 0.0, Phase.GAS
-
-    def slope(u: float) -> float | None:
-        d = slope_at(mass - u * u)
-        return None if d is None else -2.0 * u * d
-
-    if u_guess is None:
-        u_guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
-    u = _solve_bracketed(
-        lambda u: residual_at(mass - u * u), math.sqrt(1e-30 * mass),
-        math.sqrt(mass), capacity - rho_abs, -rho_abs, x_rtol=1e-14,
-        f_stop=converged, guess=u_guess, slope=slope)
-    return u * u, mass - u * u, rho_abs, 0.0, Phase.GAS
-
-
-def _solve_state(temperature: float, density: float, regime: Regime,
-                 mass: float, acc: AccuracyBudget, residual_rtol: float,
-                 u_guess: float | None = None
-                 ) -> tuple[CondensateState, float]:
-    """Solved state at a resolved regime, plus its gap m - |mu|.
-
-    ``u_guess`` is a starting sqrt(gap) for the relativistic solve.
-    """
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
-    rho_abs = abs(density)
-    if regime is Regime.NON_RELATIVISTIC:
-        gap, a, excited, condensed, phase = _solve_nr(
-            temperature, rho_abs, mass, acc, residual_rtol)
+    in_mu = a_low < _SMALL_MU * mass
+    if in_mu:
+        bracket, guess = (0.0, mass, -rho_abs, capacity - rho_abs), a_low
     else:
-        gap, a, excited, condensed, phase = _solve_rel(
-            temperature, rho_abs, mass, acc, residual_rtol, u_guess)
-    state = CondensateState(
-        temperature=temperature,
-        mu=math.copysign(1.0, density) * a,
-        z_nr=math.exp(-gap / temperature),
-        excited_density=excited,
-        condensate_density=condensed,
-        phase=phase,
-    )
-    return state, gap
+        bracket = (math.sqrt(1e-30 * mass), math.sqrt(mass),
+                   capacity - rho_abs, -rho_abs)
+        guess = (math.sqrt(mass * (capacity - rho_abs) / capacity)
+                 if u_guess is None else u_guess)
+    solve = _solve_bracketed(
+        *bracket, x_rtol=1e-14, guess=guess, slope=True,
+        f_stop=lambda r: abs(r) <= residual_rtol * rho_abs)
+    reply = None
+    while True:
+        try:
+            kind, x = solve.send(reply)
+        except StopIteration as stop:
+            x = stop.value
+            gap, a = (mass - x, x) if in_mu else (x * x, mass - x * x)
+            return gap, a, rho_abs, 0.0, Phase.GAS
+        value = yield kind, x if in_mu else mass - x * x
+        if kind == "f":
+            reply = value - rho_abs
+        else:
+            reply = value if in_mu or value is None else -2.0 * x * value
+
+
+def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
+                    mass: float, acc: AccuracyBudget, residual_rtol: float,
+                    u_guesses: Sequence[float | None] | None = None
+                    ) -> list:
+    """(gap, |mu|, excited, condensed, phase) per temperature, or the
+    exception its row raised, all rows solved in lockstep.
+
+    The rows run their ``_rel_row`` solves in lockstep: a batched
+    capacity pass, then rounds that take one batched density integral for
+    the residual requests and one batched slope integral, at a loose
+    fixed budget, for the slope requests (a row whose slope fails steps
+    by the secant).
+    """
+    q_acc, s_acc = _solver_acc(acc), _slope_acc(acc)
+    out: list = [None] * len(temperatures)
+    solves = [_rel_row(rho_abs, mass, residual_rtol, guess)
+              for guess in u_guesses or [None] * len(temperatures)]
+    pending: dict = {}
+
+    def advance(i: int, reply) -> None:
+        try:
+            pending[i] = solves[i].send(reply)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except (ValueError, ConvergenceError) as exc:
+            out[i] = exc
+
+    for i in range(len(solves)):
+        advance(i, None)
+    while pending:
+        requests, pending = pending, {}
+        for kind, budget in (("f", q_acc), ("d", s_acc)):
+            rows = [i for i, (k, _) in requests.items() if k == kind]
+            if not rows:
+                continue
+            values = _charge_rows([temperatures[i] for i in rows],
+                                  [requests[i][1] for i in rows], mass,
+                                  budget, slope=kind == "d")
+            for i, value in zip(rows, values):
+                if not isinstance(value, Exception):
+                    advance(i, value)
+                elif kind == "d":
+                    advance(i, None)    # no slope: a secant step
+                else:
+                    out[i] = value
+    return out
+
+
+def _caught(fn: Callable, *args):
+    """fn(*args), or the ValueError or ConvergenceError it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ConvergenceError) as exc:
+        return exc
+
+
+def _solve_states(temperatures: Sequence[float], charge: ChargeSpec,
+                  mass: float, acc: AccuracyBudget,
+                  residual_rtol: float = 1e-10) -> list:
+    """Solved state per temperature, or the exception its row raised.
+
+    Every temperature is checked before any integral, so a bad one fails
+    only its own row.  Non-relativistic rows solve one by one,
+    relativistic rows together (``_solve_rel_rows``).
+    """
+    regime = _resolve_regime(charge, mass)
+    rho_abs = abs(charge.density)
+    out: list = [ValueError(f"temperature must be positive, got {t!r}")
+                 for t in temperatures]
+    valid = [i for i, t in enumerate(temperatures)
+             if math.isfinite(t) and t > 0.0]
+    temps = [temperatures[i] for i in valid]
+    if regime is Regime.NON_RELATIVISTIC:
+        solved = []
+        for t in temps:
+            solved.append(_caught(_solve_nr, t, rho_abs, mass, acc,
+                                  residual_rtol))
+    else:
+        solved = _solve_rel_rows(temps, rho_abs, mass, acc, residual_rtol)
+    for i, t, row in zip(valid, temps, solved):
+        out[i] = row if isinstance(row, Exception) else CondensateState(
+            temperature=t,
+            mu=math.copysign(1.0, charge.density) * row[1],
+            z_nr=math.exp(-row[0] / t),
+            excited_density=row[2],
+            condensate_density=row[3],
+            phase=row[4],
+        )
+    return out
 
 
 def solve_chemical_potential(temperature: float, charge: ChargeSpec,
@@ -510,13 +592,15 @@ def solve_chemical_potential(temperature: float, charge: ChargeSpec,
     density to ``residual_rtol`` (relative); in the condensed phase
     ``|mu| = m`` exactly and the charge excess sits in the condensate.
     A non-relativistic gas state whose gap exceeds the mass breaks
-    ``|mu| <= m``; it is returned with a ``UserWarning``.
+    ``|mu| <= m``; it is returned with a ``UserWarning``.  This is a sweep
+    of one row, so it gives the bytes of that row in any sweep.
     """
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be positive, got {mass!r}")
-    regime = _resolve_regime(charge, mass)
-    return _solve_state(temperature, charge.density, regime, mass, acc,
-                        residual_rtol)[0]
+    (state,) = _solve_states([temperature], charge, mass, acc, residual_rtol)
+    if isinstance(state, Exception):
+        raise state
+    return state
 
 
 def critical_temperature(charge: ChargeSpec, mass: float,
@@ -550,8 +634,9 @@ def critical_temperature(charge: ChargeSpec, mass: float,
     # The capacity exceeds both limiting forms, so T_C lies just below the
     # smaller estimate (by at most ~9%, in the crossover near rho ~ m^3).
     lo, hi = 0.5 * min(tc_nr, tc_ur), 1.5 * min(tc_nr, tc_ur)
-    return _solve_bracketed(residual, lo, hi, residual(lo), residual(hi),
-                            x_rtol=1e-12, f_stop=lambda r: abs(r) <= 5e-12)
+    return _solve_one(_solve_bracketed(
+        lo, hi, residual(lo), residual(hi), x_rtol=1e-12,
+        f_stop=lambda r: abs(r) <= 5e-12), residual)
 
 
 # ----------------------------------------------------------------------
@@ -576,23 +661,33 @@ def _validate_fixed_charge_model(params: ModelParams) -> None:
                          "CHARGED_COMPLEX")
 
 
-def _report_at_state(params: ModelParams, geometry: Geometry,
-                     state: CondensateState, regime: Regime,
-                     acc: AccuracyBudget) -> EntropyReport:
-    """Assemble the fixed-charge entropy report at a solved state."""
-    t = state.temperature
+def _reports(params: ModelParams, geometry: Geometry,
+             states: Sequence[CondensateState], regime: Regime,
+             acc: AccuracyBudget) -> list:
+    """The fixed-charge entropy report at each solved state, or the
+    exception its row raised; relativistic rows take one batched pass per
+    moment."""
     m = params.mass
     if regime is Regime.NON_RELATIVISTIC:
-        boundary = (math.pi / 6.0) * (geometry.two_volume / m) \
-            * state.excited_density
-        s_density = _nr_entropy_density(t, m, state.z_nr, acc)
+        parts = [((math.pi / 6.0) * (geometry.two_volume / m)
+                  * state.excited_density,
+                  _caught(_nr_entropy_density, state.temperature, m,
+                          state.z_nr, acc)) for state in states]
     else:
-        a = abs(state.mu)
-        boundary = (math.pi / 6.0) * geometry.two_volume \
-            * _occupation_integral(3, m, t, a, _boundary_charged, acc)
-        s_density = _occupation_integral(3, m, t, a, _entropy_charged, acc)
-    return _entropy_report(zero_t_entanglement(params, geometry), boundary,
-                           -0.5 * geometry.subsystem_volume * s_density)
+        temps = [state.temperature for state in states]
+        mus = [abs(state.mu) for state in states]
+        boundary, entropy = (_occupation_rows(3, m, temps, mus, moment, acc)
+                             for moment in (_boundary_charged,
+                                            _entropy_charged))
+        coeff = (math.pi / 6.0) * geometry.two_volume
+        parts = [(b if isinstance(b, Exception) else coeff * b, s)
+                 for b, s in zip(boundary, entropy)]
+    zero_t = zero_t_entanglement(params, geometry)
+    return [b if isinstance(b, Exception)
+            else s if isinstance(s, Exception)
+            else _entropy_report(zero_t, b,
+                                 -0.5 * geometry.subsystem_volume * s)
+            for b, s in parts]
 
 
 def mutual_info_at_fixed_charge(params: ModelParams, geometry: Geometry,
@@ -603,13 +698,17 @@ def mutual_info_at_fixed_charge(params: ModelParams, geometry: Geometry,
 
     The thermal boundary part carries the fixed-charge normalization
     ``(pi/6) V_2`` (times the occupation integral; in the NR regime that
-    reduces to ``(pi/6) (V_2/m) rho_e`` exactly).
+    reduces to ``(pi/6) (V_2/m) rho_e`` exactly).  This is a sweep of one
+    row, with its bytes.
     """
     _validate_fixed_charge_model(params)
     regime = _resolve_regime(charge, params.mass)
     state = solve_chemical_potential(
         temperature, ChargeSpec(charge.density, regime), params.mass, acc)
-    return _report_at_state(params, geometry, state, regime, acc)
+    (report,) = _reports(params, geometry, [state], regime, acc)
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def sweep(params: ModelParams, geometry: Geometry, charge: ChargeSpec,
@@ -618,48 +717,38 @@ def sweep(params: ModelParams, geometry: Geometry, charge: ChargeSpec,
           tc: float | None = None) -> SweepTable:
     """Fixed-charge sweep over temperatures; failures recorded per row.
 
-    Each relativistic gas row starts its solve from the previous gas rows,
-    extrapolated linearly in sqrt(m - |mu|).  ``tc`` is a critical
-    temperature the caller already solved for this charge and budget; it
-    is solved here when None.
+    Relativistic rows solve and report in lockstep (see the module doc),
+    yet a row's bytes are those of its one-point sweep, whatever the
+    other rows; a bad temperature or a failed integral fails only its own
+    row.  ``tc`` is a critical temperature the caller already solved for
+    this charge and budget; it is solved here when None.
     """
     _validate_fixed_charge_model(params)
     regime = _resolve_regime(charge, params.mass)
+    charge = ChargeSpec(charge.density, regime)
     if tc is None:
-        tc = critical_temperature(ChargeSpec(charge.density, regime),
-                                  params.mass, acc)
+        tc = critical_temperature(charge, params.mass, acc)
+    temps = list(temperatures)
+    states = _solve_states(temps, charge, params.mass, acc)
+    reports = iter(_reports(
+        params, geometry, [s for s in states if not isinstance(s, Exception)],
+        regime, acc))
     rows: list[SweepRow] = []
-    nan = float("nan")
-    gas: list[tuple[float, float]] = []     # (T, sqrt(gap)) of gas rows
-    for t in temperatures:
-        u_guess = None
-        if len(gas) == 1:
-            u_guess = gas[-1][1]
-        elif len(gas) > 1:
-            (t0, u0), (t1, u1) = gas[-2], gas[-1]
-            u_guess = u1 if t1 == t0 else u1 + (u1 - u0) * (t - t1) / (t1 - t0)
-        try:
-            state, gap = _solve_state(t, charge.density, regime, params.mass,
-                                      acc, 1e-10, u_guess)
-            if state.phase is Phase.GAS:
-                gas.append((t, math.sqrt(gap)))
-            rep = _report_at_state(params, geometry, state, regime, acc)
-            rows.append(SweepRow(
-                temperature=t,
-                mu=state.mu,
-                excited_density=state.excited_density,
-                condensate_density=state.condensate_density,
-                mutual_information=rep.mutual_information,
-                boundary_thermal_part=rep.boundary_thermal_part,
-                geometric_entropy=rep.geometric_entropy,
-                thermal_entropy=-2.0 * rep.extensive_thermal_part,
-            ))
-        except (ValueError, ConvergenceError) as exc:
-            rows.append(SweepRow(
-                temperature=t, mu=nan, excited_density=nan,
-                condensate_density=nan, mutual_information=nan,
-                boundary_thermal_part=nan, geometric_entropy=nan,
-                thermal_entropy=nan, error=str(exc)))
+    for t, state in zip(temps, states):
+        rep = state if isinstance(state, Exception) else next(reports)
+        if isinstance(rep, Exception):
+            rows.append(SweepRow(t, *[float("nan")] * 7, error=str(rep)))
+            continue
+        rows.append(SweepRow(
+            temperature=t,
+            mu=state.mu,
+            excited_density=state.excited_density,
+            condensate_density=state.condensate_density,
+            mutual_information=rep.mutual_information,
+            boundary_thermal_part=rep.boundary_thermal_part,
+            geometric_entropy=rep.geometric_entropy,
+            thermal_entropy=-2.0 * rep.extensive_thermal_part,
+        ))
     metadata = {
         "mass": repr(params.mass),
         "uv_cutoff": repr(params.uv_cutoff),
@@ -928,7 +1017,11 @@ def _stencil_discontinuity(params: ModelParams, geometry: Geometry,
                 if solved:
                     near = min(solved, key=lambda s: abs(s - t))
                     u_guess = solved[near] * (t - tc) / (near - tc)
-                gap, a = _solve_rel(t, rho_abs, m, tight, 3e-13, u_guess)[:2]
+                (row,) = _solve_rel_rows([t], rho_abs, m, tight, 3e-13,
+                                         [u_guess])
+                if isinstance(row, Exception):
+                    raise row
+                gap, a = row[:2]
                 solved[t] = math.sqrt(gap)
                 return coeff * _occupation_integral(3, m, t, a,
                                                     _boundary_charged, tight)

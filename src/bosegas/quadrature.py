@@ -18,6 +18,15 @@ called with 1-D arrays whose length is a multiple of 15 (the nodes of one
 or more panels at once) and must act elementwise; an integrand that only
 takes scalars is called point by point instead.
 
+One adaptive loop, the ``_adaptive`` coroutine, holds the GK15 heap and
+asks for the panels it needs; two routes run it.  ``integrate_radial``
+runs one loop and evaluates panels with ``_gk15_batch``.  The batched route
+``_integrate_radial_rows`` runs one loop per row of a batch (a sweep's
+temperatures): each round it evaluates the panels every open row asked
+for with one integrand call per piece kind, each panel tagged with its
+row, and reduces every panel along its own nodes, so a row's bits do not
+depend on which rows share its batch.
+
 ``sum_bilateral`` evaluates :math:`\sum_{k=-\infty}^{\infty} g(k)` by direct
 symmetric summation to |k| = 16, 32, 64, ..., plus at each checkpoint an
 Euler-Maclaurin midpoint tail per side from a = k + 1/2 (GK15 in t = a/v
@@ -77,6 +86,7 @@ _XGK = np.concatenate([np.negative(_XGK_HALF[:7]), _XGK_HALF[::-1]])
 _WGK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
 _WG15 = np.zeros(15)
 _WG15[1:14:2] = _WG_HALF + _WG_HALF[-2::-1]
+_WKG = np.stack([_WGK, _WGK - _WG15])   # Kronrod, and Kronrod minus Gauss
 
 _TINY_TOTAL = 1e-300
 _MIN_PANEL_FACTOR = 50.0   # panels narrower than ~50 ulp are not split further
@@ -143,30 +153,42 @@ def _gk15_batch(f: _Integrand, spans: Sequence[tuple[float, float]],
     return out
 
 
-_Pieces = tuple[_Integrand, Sequence[tuple[float, float]]]
+def _gk15_reduce(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 (integral, error) of each panel, per unit half-width, from its
+    15 values on the last axis of ``y``, reduced along that axis only;
+    equal values give error 0."""
+    res = (y[..., None, :] * _WKG).sum(axis=-1)
+    resk = res[..., 0]
+    resasc = (np.abs(y - 0.5 * resk[..., None]) * _WGK).sum(-1)
+    ratio = 200.0 * np.abs(res[..., 1]) / np.maximum(resasc, _TINY_TOTAL)
+    return resk, resasc * np.minimum(1.0, ratio) ** 1.5
 
 
-def _adaptive(pieces: Sequence[_Pieces], acc: AccuracyBudget,
-              where: str) -> tuple[float, float]:
-    """Globally adaptive GK15 over (integrand, [(lo, hi), ...]) pieces.
+def _adaptive(pieces: Sequence[list[tuple[float, float]]],
+              acc: AccuracyBudget, where: str):
+    """Globally adaptive GK15 over pieces of one integral, as a coroutine.
 
-    Different integrands may share one error budget (finite-range pieces
-    and a mapped tail).  The initial panels of one integrand are evaluated
-    in one call, and a split evaluates both children in one call; the
-    refinement order (always split the panel of largest error, oldest
-    first on ties) is that of evaluating one panel at a time.  Returns
-    (value, error estimate); raises QuadratureError, with the partial
-    value and its relative error estimate, if the split budget runs out
-    above tolerance or panels too narrow to split hold more error than
-    the tolerance allows.
+    ``pieces[k]`` holds the initial (lo, hi) panels of integrand kind k
+    (finite-range pieces and a mapped tail share one error budget).  The
+    coroutine yields (kind, [(lo, hi), ...]), first each kind's initial
+    panels, then the two children of each split, and takes back one
+    (value, error) per panel.  The refinement order (always split the
+    panel of largest error, oldest first on ties) is that of evaluating
+    one panel at a time.  Returns (value, error estimate); raises
+    QuadratureError, with the partial value and its relative error
+    estimate, if the split budget runs out above tolerance or panels too
+    narrow to split hold more error than the tolerance allows.
     """
-    heap: list = []            # (-err, seq, f, a, b, value, err)
+    heap: list = []            # (-err, seq, kind, a, b, value, err)
     seq = 0
     val_sum = 0.0
     err_sum = 0.0
-    for f, spans in pieces:
-        for (a, b), (v, e) in zip(spans, _gk15_batch(f, spans, where)):
-            heapq.heappush(heap, (-e, seq, f, a, b, v, e))
+    for kind, spans in enumerate(pieces):
+        if not spans:
+            continue
+        values = yield kind, spans
+        for (a, b), (v, e) in zip(spans, values):
+            heapq.heappush(heap, (-e, seq, kind, a, b, v, e))
             seq += 1
             val_sum += v
             err_sum += e
@@ -197,7 +219,7 @@ def _adaptive(pieces: Sequence[_Pieces], acc: AccuracyBudget,
                 f"quadrature {cause} at {where}; achieved relative error "
                 f"{total_err / norm:.3e} vs target {target / norm:.3e}",
                 estimate=total_val, achieved=total_err / norm)
-        _, _, f, a, b, v, e = heapq.heappop(heap)
+        _, _, kind, a, b, v, e = heapq.heappop(heap)
         val_sum -= v
         err_sum -= e
         width_floor = max(_MIN_PANEL_FACTOR * _EPS * max(abs(a), abs(b)),
@@ -208,9 +230,9 @@ def _adaptive(pieces: Sequence[_Pieces], acc: AccuracyBudget,
             continue
         mid = 0.5 * (a + b)
         children = ((a, mid), (mid, b))
-        for (lo, hi), (v2, e2) in zip(children,
-                                      _gk15_batch(f, children, where)):
-            heapq.heappush(heap, (-e2, seq, f, lo, hi, v2, e2))
+        values = yield kind, children
+        for (lo, hi), (v2, e2) in zip(children, values):
+            heapq.heappush(heap, (-e2, seq, kind, lo, hi, v2, e2))
             seq += 1
             val_sum += v2
             err_sum += e2
@@ -289,33 +311,105 @@ def _integrate_radial_report(spec: RadialIntegralSpec) -> tuple[float, float]:
         ps = p_last - scale * np.log(us)
         return radial(ps) * (scale / us)
 
-    spans = list(zip(breaks[:-1], breaks[1:]))
-    pieces = [(radial, spans)] if spans else []
-    pieces.append((tail, [(0.0, 1.0)]))
-
+    kinds = (radial, tail)
+    run = _adaptive([list(zip(breaks[:-1], breaks[1:])), [(0.0, 1.0)]],
+                    spec.accuracy, "p")
     angular = _solid_angle(spec.dimension)
     try:
-        value, err = _adaptive(pieces, spec.accuracy, "p")
+        kind, panels = next(run)
+        while True:
+            kind, panels = run.send(_gk15_batch(kinds[kind], panels, "p"))
+    except StopIteration as stop:
+        value, err = stop.value
     except QuadratureError as exc:
         exc.estimate *= angular     # the partial value of the full integral
         raise
     return angular * value, angular * err
 
 
+def _gk15_tagged(f: Callable, los: np.ndarray, his: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """GK15 on panels [lo, hi] of several rows from one call ``f(xs,
+    tags)``, with 15 nodes per panel in ``xs`` and the panels' rows in
+    ``tags`` (shape (panels, 1)).  Returns the nodes, their values and
+    each panel's integral and error."""
+    halves = 0.5 * (his - los)
+    xs = (0.5 * (los + his))[:, None] + halves[:, None] * _XGK
+    ys = f(xs, rows[:, None])
+    resk, err = _gk15_reduce(ys)
+    return xs, ys, resk * halves, err * halves
+
+
+def _integrate_radial_rows(dimension: int, integrand: Callable,
+                           grids: Sequence[tuple[tuple[float, ...], float]],
+                           acc: AccuracyBudget) -> list:
+    """The batched route (see the module doc): row i integrates
+    ``integrand(ps, rows)`` where ``rows == i``, split at ``grids[i] =
+    (singular_points, tail_scale)`` as a spec is.  Returns each row's
+    value, or the ValueError (non-finite integrand) or QuadratureError it
+    raised, with the single route's message."""
+    power = dimension - 1
+    angular = _solid_angle(dimension)
+    breaks = [sorted({0.0, *pts}) for pts, _ in grids]
+    p_last = np.array([b[-1] for b in breaks])
+    scale = np.array([s for _, s in grids], dtype=float)
+
+    def radial(ps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return integrand(ps, rows) * ps ** power
+
+    def tail(us: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        ps = p_last[rows] - scale[rows] * np.log(us)
+        return radial(ps, rows) * (scale[rows] / us)
+
+    out: list = [None] * len(grids)
+    runs = [_adaptive([list(zip(b[:-1], b[1:])), [(0.0, 1.0)]], acc, "p")
+            for b in breaks]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        replies: dict[int, list] = {}
+        bad: dict[int, float] = {}
+        for kind, f in enumerate((radial, tail)):
+            owned = [(i, panels) for i, (k, panels) in pending.items()
+                     if k == kind]
+            if not owned:
+                continue
+            lohi = np.array([span for _, panels in owned for span in panels])
+            tags = np.repeat([i for i, _ in owned],
+                             [len(panels) for _, panels in owned])
+            xs, ys, values, errors = _gk15_tagged(f, lohi[:, 0], lohi[:, 1],
+                                                  tags)
+            pairs = list(zip(values.tolist(), errors.tolist()))
+            start = 0
+            for i, panels in owned:
+                replies[i] = pairs[start:start + len(panels)]
+                start += len(panels)
+            finite = np.isfinite(ys)
+            for j in np.flatnonzero(~finite.all(axis=1)):
+                bad.setdefault(int(tags[j]), xs[j][~finite[j]][0])
+        pending = {}
+        for i, reply in replies.items():
+            try:
+                if i in bad:
+                    out[i] = ValueError("integrand returned a non-finite "
+                                        f"value at p = {bad[i]!r}")
+                else:
+                    pending[i] = runs[i].send(reply)
+            except StopIteration as stop:
+                out[i] = angular * stop.value[0]
+            except QuadratureError as exc:
+                exc.estimate *= angular
+                out[i] = exc
+    return out
+
+
 _V_MIN_TAIL = 1e-12   # keeps t = a/v finite; drops < 1e-12 of a 1/k^2 tail
-_WKG = np.stack([_WGK, _WGK - _WG15])   # Kronrod, and Kronrod minus Gauss
 _EM_WEIGHTS = np.array([7.0, -261.0, 261.0, -7.0]) / 5760.0  # g(k-1 .. k+2)
 
 
 def _gk15_rows(y: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
     """GK15 (integral, error) per row of ``y`` (15 values per panel of
     half-width ``half``), reduced within each row; equal values give 0."""
-    y = y.reshape(*y.shape[:-1], -1, 1, 15)
-    res = (y * _WKG).sum(axis=-1)
-    resk = res[..., 0]
-    resasc = (np.abs(y[..., 0, :] - 0.5 * resk[..., None]) * _WGK).sum(-1)
-    ratio = 200.0 * np.abs(res[..., 1]) / np.maximum(resasc, _TINY_TOTAL)
-    err = resasc * np.minimum(1.0, ratio) ** 1.5
+    resk, err = _gk15_reduce(y.reshape(*y.shape[:-1], -1, 15))
     return resk.sum(axis=-1) * half, err.sum(axis=-1) * half
 
 

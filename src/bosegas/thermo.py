@@ -41,11 +41,12 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import RadialIntegralSpec, integrate_radial, sum_bilateral
+from .quadrature import (RadialIntegralSpec, _integrate_radial_rows,
+                         integrate_radial, sum_bilateral)
 from .specfun import EULER_GAMMA, AccuracyBudget, DEFAULT_BUDGET, gamma_upper
 
 __all__ = [
@@ -216,11 +217,13 @@ def _gap_frequencies(mass: float, a: float, p: np.ndarray):
 
     For ``a`` close to the mass, ``omega - a`` loses all precision if formed
     directly; ``(p^2 + g (m + a)) / (omega + a)`` with ``g = m - a`` is
-    exact.  At ``a = 0`` the lower branch is omega itself.
+    exact.  At a float ``a = 0`` the lower branch is omega itself.  ``a``
+    may also be an array that broadcasts against ``p`` (one a per row of
+    a batch).
     """
     p2 = p * p
     omega = np.sqrt(p2 + mass * mass)
-    if a == 0.0:
+    if not isinstance(a, np.ndarray) and a == 0.0:
         return omega, omega
     g = mass - a
     below = (p2 + g * (mass + a)) / (omega + a)
@@ -281,6 +284,24 @@ def _occupation_integral(dimension: int, mass: float, temperature: float,
     """The occupation integral of ``_occupation_spec``, value only."""
     return integrate_radial(_occupation_spec(dimension, mass, temperature,
                                              a, moment, acc))
+
+
+def _occupation_rows(dimension: int, mass: float,
+                     temperatures: Sequence[float], mus: Sequence[float],
+                     moment: Callable, acc: AccuracyBudget) -> list:
+    """``_occupation_integral`` at one (T, a = |mu|) per row, all rows
+    refined in lockstep by ``quadrature._integrate_radial_rows``; each row
+    holds its value or the exception it raised."""
+    beta = 1.0 / np.asarray(temperatures, dtype=float)
+    abs_mu = np.asarray(mus, dtype=float)
+
+    def integrand(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        a, b = abs_mu[rows], beta[rows]
+        omega, below = _gap_frequencies(mass, a, p)
+        return moment(b * below, b * (omega + a), omega)
+
+    grids = [_thermal_grid(mass, t, a) for t, a in zip(temperatures, mus)]
+    return _integrate_radial_rows(dimension, integrand, grids, acc)
 
 
 def _boundary_charged(x_minus, x_plus, omega):
@@ -368,14 +389,20 @@ def _entropy_report(zero_t: float, boundary: float,
 def _assemble_report(params: ModelParams, geometry: Geometry,
                      point: ThermalPoint, a: float,
                      acc: AccuracyBudget) -> EntropyReport:
-    boundary_moment, entropy_moment = _MOMENTS[params.field_kind]
+    kind = params.field_kind
+    # At a = 0 the two charged species share one occupation: integrate it
+    # once and double it, which gives the same bits as the charged moment.
+    species = 1.0
+    if kind is FieldKind.CHARGED_COMPLEX and a == 0.0:
+        kind, species = FieldKind.NEUTRAL_REAL, 2.0
+    boundary_moment, entropy_moment = _MOMENTS[kind]
     args = (params.dimension, params.mass, point.temperature, a)
     return _entropy_report(
         zero_t_entanglement(params, geometry),
         (math.pi / 3.0) * geometry.boundary_area
-        * _occupation_integral(*args, boundary_moment, acc),
+        * (species * _occupation_integral(*args, boundary_moment, acc)),
         -0.5 * geometry.subsystem_volume
-        * _occupation_integral(*args, entropy_moment, acc))
+        * (species * _occupation_integral(*args, entropy_moment, acc)))
 
 
 def mutual_info_neutral(params: ModelParams, geometry: Geometry,

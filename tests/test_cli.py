@@ -233,6 +233,28 @@ class TestMuSolve:
         assert all(math.isclose(r, ratios[0], rel_tol=1e-9) for r in ratios)
 
 
+    @pytest.mark.filterwarnings("ignore:non-relativistic gas")
+    @pytest.mark.parametrize("charge", [
+        ["--charge-density", "1e4", "--regime", "rel", "--tmin", "150",
+         "--tmax", "250"],
+        ["--charge-density", "1.0", "--regime", "nr", "--tmin", "2.5",
+         "--tmax", "4.5"],
+    ])
+    def test_same_mu_as_fixed_charge_mutual_info(self, capsys, charge):
+        # one grid, one lockstep solve: the same bytes in both tables
+        grid = [*charge, "--points", "5", "--spacing", "tc-refined"]
+        tables = []
+        for command in ("mu-solve", "mutual-info"):
+            code, out = run(capsys, [command, *grid])
+            assert code == 0
+            _, columns, rows = parse_csv(out)
+            tables.append([{k: r[columns.index(k)]
+                            for k in ("T", "mu", "rho_e", "rho_0")}
+                           for r in rows])
+        assert len(tables[0]) == 12          # 5 base + 7 refined
+        assert tables[0] == tables[1]
+
+
 class TestTc:
     def test_requires_charge(self, capsys):
         assert main(["tc"]) == 2
@@ -421,14 +443,15 @@ class TestConfigValues:
 
 class TestNumericFailures:
     def test_mu_solve_row_failure(self, capsys, monkeypatch):
-        solve = cli.solve_chemical_potential
+        solve = cli._solve_states
 
-        def failing_at_two(t, *args):
-            if t == 2.0:
-                raise ConvergenceError("no root, at T = 2")
-            return solve(t, *args)
+        def failing_at_two(temps, *args):
+            # the grid is solved in one call; each row holds its state
+            # or the exception it raised
+            return [ConvergenceError("no root, at T = 2") if t == 2.0
+                    else state for t, state in zip(temps, solve(temps, *args))]
 
-        monkeypatch.setattr(cli, "solve_chemical_potential", failing_at_two)
+        monkeypatch.setattr(cli, "_solve_states", failing_at_two)
         code, out = run(capsys, ["mu-solve", "--charge-density", "1.0",
                                  "--regime", "nr", "--tmin", "1.0",
                                  "--tmax", "2.0", "--points", "2"])

@@ -20,9 +20,10 @@ relativistic root solves spend; the counts are deterministic.
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from bosegas import condensate, quadrature
+from bosegas import condensate, quadrature, thermo
 from bosegas.condensate import (ChargeSpec, CondensateState, Phase, Regime,
                                 _stencil_discontinuity, charge_density_rel,
                                 critical_temperature, discontinuity_estimate,
@@ -500,16 +501,23 @@ class TestRootSolveWork:
     @pytest.fixture
     def integrals(self, monkeypatch):
         # Every radial integral, whether through integrate_radial or, for
-        # the closed-form jump, straight through the report.
+        # the closed-form jump, straight through the report; a batch of n
+        # rows (the batched route behind sweeps) counts as n integrals.
         calls = [0]
         inner = quadrature._integrate_radial_report
+        rows = thermo._integrate_radial_rows
 
         def counted(spec):
             calls[0] += 1
             return inner(spec)
 
+        def counted_rows(dimension, integrand, grids, acc):
+            calls[0] += len(grids)
+            return rows(dimension, integrand, grids, acc)
+
         for module in (quadrature, condensate):
             monkeypatch.setattr(module, "_integrate_radial_report", counted)
+        monkeypatch.setattr(thermo, "_integrate_radial_rows", counted_rows)
         return calls
 
     def test_rel_tc(self, integrals):
@@ -541,6 +549,114 @@ class TestRootSolveWork:
         charge_density_rel(ThermalPoint(temp, 1.0 - gap), 1.0,
                            AccuracyBudget(relative_tolerance=1e-12))
         assert gk15_panels[0] <= 70
+
+
+class TestLockstepSweep:
+    """Sweep rows solve and report together, in batched rounds.
+
+    Each batched integral refines every row on its own, and every gas row
+    starts from its own chord start, so a row's bytes are those of its
+    one-point sweep whatever rows share its batches.
+    """
+
+    ACC = AccuracyBudget(relative_tolerance=1e-8)   # CLI default --rtol
+    # mutual-info --charge-density 1e4 --regime rel --tmin 100 --tmax 300
+    # --points 40
+    MI_REL40 = [100.0 + 200.0 * i / 39 for i in range(40)]
+
+    def one_row(self, t, charge, tc):
+        (row,) = sweep(charged_params(), GEO, charge, [t], self.ACC,
+                       tc=tc).rows
+        return row
+
+    def test_rows_equal_their_one_point_sweeps(self):
+        charge = rel_charge(1.0e4)
+        tc = critical_temperature(charge, 1.0, self.ACC)
+        table = sweep(charged_params(), GEO, charge, self.MI_REL40,
+                      self.ACC, tc=tc)
+        phases = set()
+        for t, row in zip(self.MI_REL40, table.rows):
+            assert row.error is None
+            assert repr(row) == repr(self.one_row(t, charge, tc))
+            state = solve_chemical_potential(t, charge, 1.0, self.ACC)
+            assert repr((row.mu, row.excited_density,
+                         row.condensate_density)) == repr((
+                             state.mu, state.excited_density,
+                             state.condensate_density))
+            phases.add(state.phase)
+        assert phases == {Phase.CONDENSED, Phase.GAS}
+        rep = mutual_info_at_fixed_charge(charged_params(), GEO,
+                                          self.MI_REL40[-1], charge, self.ACC)
+        assert rep.mutual_information == table.rows[-1].mutual_information
+        assert rep.boundary_thermal_part == \
+            table.rows[-1].boundary_thermal_part
+
+    def test_bad_temperature_fails_only_its_row(self):
+        charge = rel_charge(1.0e4)
+        tc = critical_temperature(charge, 1.0, self.ACC)
+        first, bad, last = sweep(charged_params(), GEO, charge,
+                                 [150.0, -2.0, 250.0], self.ACC, tc=tc).rows
+        assert bad.error == "temperature must be positive, got -2.0"
+        assert math.isnan(bad.mu) and math.isnan(bad.mutual_information)
+        assert repr(first) == repr(self.one_row(150.0, charge, tc))
+        assert repr(last) == repr(self.one_row(250.0, charge, tc))
+
+    @pytest.mark.parametrize("stage_rtol", [1e-12, 1e-8])
+    @pytest.mark.parametrize("poison,message", [
+        ("nan", "integrand returned a non-finite value at p = "),
+        ("noise", "quadrature "),
+    ])
+    def test_failed_row_inside_a_batch(self, monkeypatch, stage_rtol,
+                                       poison, message):
+        # The kernel of the T = 200 row (tail scale 2 T = 400) turns bad in
+        # every batch at one budget: the root solve's (rtol 1e-12, from the
+        # capacity pass on) or the report's (the sweep's rtol 1e-8).
+        charge = rel_charge(1.0e4)
+        tc = critical_temperature(charge, 1.0, self.ACC)
+        temps = [150.0, 200.0, 250.0]
+        alone = [self.one_row(t, charge, tc) for t in temps]
+        batch = thermo._integrate_radial_rows
+
+        def poisoned(dimension, integrand, grids, acc):
+            marked = np.array([acc.relative_tolerance == stage_rtol
+                               and scale == 400.0 for _, scale in grids])
+
+            def kernel(ps, rows):
+                values = integrand(ps, rows)
+                bad = (np.full_like(values, np.nan) if poison == "nan"
+                       else values * (1.0 + 0.1 * np.sign(np.sin(1e3 * ps))))
+                return np.where(marked[rows], bad, values)
+
+            return batch(dimension, kernel, grids, acc)
+
+        monkeypatch.setattr(thermo, "_integrate_radial_rows", poisoned)
+        first, failed, last = sweep(charged_params(), GEO, charge, temps,
+                                    self.ACC, tc=tc).rows
+        assert failed.error.startswith(message)
+        assert math.isnan(failed.mu) and math.isnan(failed.mutual_information)
+        assert repr(first) == repr(alone[0])
+        assert repr(last) == repr(alone[2])
+
+    @pytest.mark.parametrize("rho", [1.0e-2, 1.0, 1.0e4, 1.0e8])
+    def test_critical_temperature_roots_unchanged(self, rho):
+        # bits of the roots before the solver became a coroutine
+        pinned = {1.0e-2: "0x1.202dda238c1b0p-3", 1.0: "0x1.b98eae48aa082p+0",
+                  1.0e4: "0x1.5a68f6c2bd0e9p+7",
+                  1.0e8: "0x1.0ea20844cd3a5p+14"}
+        got = critical_temperature(rel_charge(rho), 1.0)
+        assert got.hex() == pinned[rho]
+
+    @pytest.mark.filterwarnings("ignore:non-relativistic gas")
+    @pytest.mark.parametrize("rho,t,mu,z_nr", [
+        (1.0, 2.0, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        (1.0, 5.0, "0x1.5fcfb7da93458p-3", "0x1.b1d7a3e68cecdp-1"),
+        (1.0e-3, 0.3, "0x1.25329a474bd22p-2", "0x1.7b7fc7660b47cp-4"),
+        (-1.0, 4.0, "-0x1.b00465dff7c16p-1", "0x1.ec63c4956482dp-1"),
+        (1.0, 1.0e6, "-0x1.1225713e2ebddp+24", "0x1.0e9384459eee1p-26"),
+    ])
+    def test_nr_roots_unchanged(self, rho, t, mu, z_nr):
+        state = solve_chemical_potential(t, nr_charge(rho), 1.0)
+        assert (state.mu.hex(), state.z_nr.hex()) == (mu, z_nr)
 
 
 class TestRefinedSweepRows:

@@ -252,6 +252,62 @@ class TestBatchedPanels:
         assert sum(lengths) == 15 * gk15_panels[0]
 
 
+class TestBatchedRows:
+    """``_integrate_radial_rows``: many integrals refined in lockstep."""
+
+    # rows of exp(-p / s) / (1 + p^2), with s the row's decay length
+    DECAYS = np.array([0.3, 1.0, 4.0, 25.0])
+
+    def rows(self, decays, acc=AccuracyBudget(relative_tolerance=1e-12)):
+        grids = [((0.5 * s, 2.0 * s), 2.0 * s) for s in decays]
+        scales = np.asarray(decays)
+
+        def integrand(ps, rows):
+            return np.exp(-ps / scales[rows]) / (1.0 + ps * ps)
+
+        return quadrature._integrate_radial_rows(3, integrand, grids, acc)
+
+    def test_rows_agree_with_single_integrals(self):
+        for s, got in zip(self.DECAYS, self.rows(self.DECAYS)):
+            spec = RadialIntegralSpec(
+                dimension=3, integrand=lambda p, s=s: np.exp(-p / s)
+                / (1.0 + p * p), singular_points=(0.5 * s, 2.0 * s),
+                accuracy=AccuracyBudget(relative_tolerance=1e-12),
+                tail_scale=2.0 * s)
+            assert abs(got / integrate_radial(spec) - 1.0) < 1e-11
+
+    def test_row_bytes_do_not_depend_on_the_batch(self):
+        batch = self.rows(self.DECAYS)
+        for s, got in zip(self.DECAYS, batch):
+            assert self.rows([s]) == [got]
+        assert self.rows(self.DECAYS[::-1]) == batch[::-1]
+
+    def test_failures_stay_in_their_rows(self):
+        grids = [((), 2.0), ((), 2.0), ((), 2.0)]
+
+        def integrand(ps, rows):
+            # row 1 blows up below p = 1; row 2 is too rough for 8 splits
+            values = np.exp(-ps)
+            values = np.where((rows == 1) & (ps < 1.0), np.inf, values)
+            return np.where(rows == 2, values * (2.0 + np.sign(
+                np.sin(50.0 * ps))), values)
+
+        acc = AccuracyBudget(relative_tolerance=1e-12, max_subdivisions=8)
+        ok, blown, rough = quadrature._integrate_radial_rows(
+            1, integrand, grids, acc)
+        assert abs(ok / self.single(lambda p: np.exp(-p), acc) - 1.0) < 1e-11
+        assert isinstance(blown, ValueError)
+        assert str(blown).startswith(
+            "integrand returned a non-finite value at p = ")
+        assert isinstance(rough, QuadratureError)
+        assert "needed more than 8 subdivisions" in str(rough)
+
+    @staticmethod
+    def single(f, acc):
+        return integrate_radial(RadialIntegralSpec(
+            dimension=1, integrand=f, accuracy=acc, tail_scale=2.0))
+
+
 class TestSumBilateral:
     def test_matsubara_lorentzian(self):
         # sum 1/(1 + 4 pi^2 k^2) = (1/2) coth(1/2)
