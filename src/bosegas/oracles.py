@@ -169,12 +169,9 @@ def _laplace_bessel_quads(n: float, alpha: float,
                              f"got {m / n!r}")
 
         def integrand(qs: np.ndarray) -> np.ndarray:
-            # np.ravel/np.reshape also take the single floats of the
-            # engine's point-by-point fallback, which a ValueError triggers.
-            nodes = np.ravel(qs).tolist()
+            nodes = qs.tolist()
             tabulate(nodes)
-            values = [table[q][m] for q in nodes]
-            return np.exp(-decay * qs) * np.reshape(values, np.shape(qs))
+            return np.exp(-decay * qs) * [table[q][m] for q in nodes]
 
         spec = RadialIntegralSpec(1, integrand, singular_points=(1.0,),
                                   accuracy=_ORACLE_ACC,
@@ -207,22 +204,26 @@ def check_f_n_alpha(n: float, alpha: float) -> OracleReport:
     rhs = _f_n_closed(n, alpha)
     step = r ** (1.0 / n)                     # per-order decay of the terms
     m_max = max(4, int(math.ceil(n * 37.0 / -math.log(r))))
+    inv_root = 1.0 / math.sqrt(alpha * alpha - 1.0)
 
-    # Orders above the Bessel order cap are never tabulated; the loop
-    # below normally stops well before them.
-    quad = _laplace_bessel_quads(n, alpha, min(m_max, int(_NU_MAX * n)))
+    # Sum up to the first order whose closed-form tail is below 1e-15 of
+    # the closed-form partial sum; orders above the Bessel cap raise.
+    partial = 0.5 * inv_root
+    for m_top in range(1, m_max + 1):
+        closed_term = step ** m_top * inv_root
+        partial += closed_term
+        if closed_term / (1.0 - step) < 1e-15 * partial:
+            break
+    quad = _laplace_bessel_quads(n, alpha, min(m_top, int(_NU_MAX * n)))
     lhs = 0.5 * quad(0)
     max_term_err = 0.0
-    inv_root = 1.0 / math.sqrt(alpha * alpha - 1.0)
-    for m in range(1, m_max + 1):
+    for m in range(1, m_top + 1):
         quad_term = quad(m)
         closed_term = step ** m * inv_root
         max_term_err = max(max_term_err,
                            abs(quad_term - closed_term)
                            / max(closed_term, 1e-300))
         lhs += quad_term
-        if closed_term / (1.0 - step) < 1e-15 * abs(lhs):
-            break
     rel_main = abs(lhs - rhs) / abs(rhs)
 
     eps = (1e-3, 1e-4, 1e-5)
@@ -239,7 +240,7 @@ def check_f_n_alpha(n: float, alpha: float) -> OracleReport:
         {
             "n": n,
             "alpha": alpha,
-            "orders_summed": m,         # the last order the loop summed
+            "orders_summed": m_top,     # the last order summed
             "order_cap": m_max,
             "max_single_transform_error": max_term_err,
             "finite_part_fit": fit,
@@ -357,14 +358,17 @@ def check_poisson_resummation(beta: float, t_schwinger: float,
 # ----------------------------------------------------------------------
 
 def _weber_quad(nu: float, a: float) -> float:
-    """int_0^inf rho e^{-rho^2} J_nu(a rho)^2 d rho (R = 1 units)."""
+    """int_0^inf rho e^{-rho^2} J_nu(a rho)^2 d rho (R = 1 units); the
+    integrand takes the node array and calls ``bessel_j`` node by node."""
     cap = 9.5                     # e^{-cap^2} ~ 1e-40: beyond is zero
 
-    def integrand(p: float) -> float:
-        if p > cap:
-            return 0.0
-        j = bessel_j(nu, a * p)
-        return p * math.exp(-p * p) * j * j
+    def integrand(ps: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(ps))
+        for i, p in enumerate(ps.tolist()):
+            if p <= cap:
+                j = bessel_j(nu, a * p)
+                out[i] = p * math.exp(-p * p) * j * j
+        return out
 
     spec = RadialIntegralSpec(1, integrand, singular_points=(1.0, cap),
                               accuracy=_ORACLE_ACC, tail_scale=1.0)

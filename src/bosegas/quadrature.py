@@ -15,8 +15,9 @@ tail is mapped to the unit interval by :math:`p = p_\text{last} -
 s\,\ln u` with a caller-tunable scale ``s`` (at least twice the tail's
 decay length; see ``RadialIntegralSpec.tail_scale``).  The integrand is
 called with 1-D arrays whose length is a multiple of 15 (the nodes of one
-or more panels at once) and must act elementwise; an integrand that only
-takes scalars is called point by point instead.
+or more panels at once), never with a float, and returns values of the
+same shape or a scalar, which broadcasts.  One that rejects arrays raises
+its own error; an output of any other shape raises ``ValueError``.
 
 One adaptive loop, the ``_adaptive`` coroutine, holds the GK15 heap and
 asks for the panels it needs; two routes run it.  ``integrate_radial``
@@ -33,8 +34,9 @@ Euler-Maclaurin midpoint tail per side from a = k + 1/2 (GK15 in t = a/v
 over v in [1e-12, 1] on nested levels of equal panels, and g'/24 -
 7 g'''/5760 from lattice differences), so :math:`1/k^2` tails converge
 cheaply; one summand call, at non-integer k too, serves each checkpoint.  A
-summand may map a column of k, shape (nk, 1), to (nk, n) values: n sums,
-each settled at its own first checkpoint, whatever the rest of the batch.
+summand maps a column of k, shape (nk, 1), to (nk,) or (nk, 1) values, or
+to (nk, n) values: n sums, each settled at its own first checkpoint,
+whatever the rest of the batch.  Any other shape raises ``ValueError``.
 
 Both drivers are deterministic: same inputs, same float operations, same
 result bytes.
@@ -101,27 +103,6 @@ def _solid_angle(dimension: int) -> float:
 
 
 _Integrand = Callable[[np.ndarray], np.ndarray]
-
-
-class _VectorizedCallable:
-    """Adapter calling ``f`` on arrays, falling back to per-point calls."""
-
-    def __init__(self, f: Callable):
-        self._f = f
-        self._mode = "unknown"
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        if self._mode != "scalar":
-            try:
-                out = np.asarray(self._f(xs), dtype=float)
-                if out.ndim == xs.ndim and out.shape[0] == xs.shape[0]:
-                    self._mode = "vector"
-                    return out
-            except (TypeError, ValueError, IndexError):
-                pass
-            self._mode = "scalar"
-        return np.array([float(self._f(float(x)))
-                         for x in xs.ravel()]).reshape(xs.shape)
 
 
 def _gk15_batch(f: _Integrand, spans: Sequence[tuple[float, float]],
@@ -250,9 +231,9 @@ class RadialIntegralSpec:
         angular factor Omega_D / (2 pi)^D and the measure p^(D-1).
     integrand : callable
         Radial profile f(p).  Called with 1-D numpy arrays whose length
-        is a multiple of 15 (the nodes of one or more panels), so it must
-        act elementwise; an integrand that rejects arrays is called with
-        one float at a time instead.  Must be finite on (0, inf).
+        is a multiple of 15 (the nodes of one or more panels), never with
+        a float; returns values of the same shape or a scalar, and any
+        other shape raises ValueError.  Must be finite on (0, inf).
     singular_points : tuple of float
         Nonnegative radii where f has integrable structure; the domain is
         split there and the open rule never samples them exactly.
@@ -298,14 +279,17 @@ def integrate_radial(spec: RadialIntegralSpec) -> float:
 def _integrate_radial_report(spec: RadialIntegralSpec) -> tuple[float, float]:
     """integrate_radial plus the achieved absolute error estimate."""
     power = spec.dimension - 1
-    f = _VectorizedCallable(spec.integrand)
     scale = spec.tail_scale
 
     breaks = sorted({0.0, *spec.singular_points})
     p_last = breaks[-1]
 
     def radial(ps: np.ndarray) -> np.ndarray:
-        return f(ps) * ps ** power
+        ys = np.asarray(spec.integrand(ps), dtype=float)
+        if ys.ndim and ys.shape != ps.shape:
+            raise ValueError(f"integrand returned shape {ys.shape} for "
+                             f"nodes of shape {ps.shape}")
+        return ys * ps ** power
 
     def tail(us: np.ndarray) -> np.ndarray:
         ps = p_last - scale * np.log(us)
@@ -424,21 +408,25 @@ def _tail_nodes(level: int) -> tuple[np.ndarray, np.ndarray, float]:
 def sum_bilateral(term: Callable, acc: AccuracyBudget = DEFAULT_BUDGET
                   ) -> float | np.ndarray:
     """Sum ``term(k)`` over all integers ``k`` (see the module doc): a float
-    for a batch of one, else the n sums.  Raises ``ConvergenceError`` if a
-    sum is unsettled at |k| = max_terms / 2, or if the tail of an unsettled
-    sum misses min(1e-3, 10 rtol) at the most panels, 2**j <= max(64,
-    max_subdivisions // 4).  Its ``estimate`` (settled values, else last
-    candidates) and relative ``achieved`` (the change between the last two
-    candidates, NaN after one, or the failed tail's error) are shaped like
-    the result."""
-    f = _VectorizedCallable(term)
+    for a batch of one, else the n sums; ``term`` maps a column of k to
+    (nk,), (nk, 1) or (nk, n) values, else ValueError.  Raises
+    ``ConvergenceError`` if a sum is unsettled at |k| = max_terms / 2, or
+    if the tail of an unsettled sum misses min(1e-3, 10 rtol) at the most
+    panels, 2**j <= max(64, max_subdivisions // 4).  Its ``estimate``
+    (settled values, else last candidates) and relative ``achieved`` (the
+    change between the last two candidates, NaN after one, or the failed
+    tail's error) are shaped like the result."""
     tail_rtol = min(1e-3, 10.0 * acc.relative_tolerance)
     max_level = max(64, acc.max_subdivisions // 4).bit_length() - 1
     k_max = max(16, acc.max_terms // 2)
     batch = lambda x: float(x[0]) if x.size == 1 else x  # noqa: E731
 
     def values(side: np.ndarray) -> np.ndarray:     # (n, 2 signs, len(side))
-        out = f(np.concatenate((side, -side))[:, None])
+        ks = np.concatenate((side, -side))[:, None]
+        out = np.asarray(term(ks), dtype=float)
+        if out.ndim not in (1, 2) or len(out) != len(ks):
+            raise ValueError(f"summand returned shape {out.shape} for k of "
+                             f"shape {ks.shape}")
         return np.ascontiguousarray(out.T).reshape(-1, 2, len(side))
 
     (vs, inv_v2, half), lo, hi = _tail_nodes(0), 1, 16

@@ -15,6 +15,7 @@ check reports the measured plateau instead of masking it.
 import json
 import math
 
+import numpy as np
 import pytest
 
 import bosegas
@@ -64,7 +65,7 @@ class TestCriterion01SpecialFunctionOracles:
         # Gamma(0, 1) = int_0^inf e^{-(u+1)}/(u+1) du, by the quadrature
         # engine itself (x pi to undo the one-dimensional angular measure)
         quad = math.pi * integrate_radial(RadialIntegralSpec(
-            1, lambda u: math.exp(-(u + 1.0)) / (u + 1.0),
+            1, lambda u: np.exp(-(u + 1.0)) / (u + 1.0),
             accuracy=AccuracyBudget(relative_tolerance=1e-12)))
         g_lib = gamma_upper(0.0, 1.0)
         print(f"  Gamma(0,1): library {g_lib!r} vs quadrature {quad!r} "

@@ -591,6 +591,35 @@ class TestLockstepSweep:
         assert rep.boundary_thermal_part == \
             table.rows[-1].boundary_thermal_part
 
+    def test_property_states_and_rows(self):
+        # over drawn densities of either sign and temperatures about T_C:
+        # every gas or condensed state keeps |mu| <= m, and every row,
+        # failed or not, is its one-point sweep bit for bit
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=15, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(st.floats(-2.0, 8.0), st.booleans(),
+                          st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                   max_size=5))
+        def check(log_density, negative, log_ratios):
+            density = (-1.0 if negative else 1.0) * 10.0 ** log_density
+            charge = rel_charge(density)
+            tc = critical_temperature(charge, 1.0, self.ACC)
+            temps = [tc * 10.0 ** u for u in log_ratios]
+            rows = sweep(charged_params(), GEO, charge, temps, self.ACC,
+                         tc=tc).rows
+            for t, row in zip(temps, rows):
+                assert repr(row) == repr(self.one_row(t, charge, tc))
+                if row.error is None:
+                    assert abs(row.mu) <= 1.0
+                    state = solve_chemical_potential(t, charge, 1.0,
+                                                     self.ACC)
+                    assert abs(state.mu) <= 1.0
+
+        check()
+
     def test_bad_temperature_fails_only_its_row(self):
         charge = rel_charge(1.0e4)
         tc = critical_temperature(charge, 1.0, self.ACC)

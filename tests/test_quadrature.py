@@ -85,14 +85,25 @@ class TestIntegrateRadial:
                                   integrand=lambda p: np.exp(-p * p))
         assert rel(integrate_radial(spec), 0.25 / math.pi) < 1e-11
 
-    def test_scalar_only_integrand(self):
-        # non-vectorizable integrands must work through the fallback path
+    def test_integrand_that_rejects_arrays_raises(self):
+        # the integrand gets arrays only: its own error surfaces at the
+        # first call, with no retry one float at a time
+        calls = []
+
         def f(p):
-            if p < 1.0:            # array input would raise here
-                return math.exp(-p)
+            calls.append(p)
             return math.exp(-p)
-        spec = RadialIntegralSpec(dimension=1, integrand=f)
-        assert rel(integrate_radial(spec), 1.0 / math.pi) < 1e-11
+        with pytest.raises(TypeError):
+            integrate_radial(RadialIntegralSpec(dimension=1, integrand=f))
+        assert len(calls) == 1
+
+    def test_column_shaped_output_raises(self):
+        # broadcast against the (n,) nodes, an (n, 1) output would be
+        # integrated as an (n, n) block: a wrong value and no error
+        spec = RadialIntegralSpec(dimension=1,
+                                  integrand=lambda p: np.exp(-p)[:, None])
+        with pytest.raises(ValueError, match=r"shape \(15, 1\).*\(15,\)"):
+            integrate_radial(spec)
 
     def test_breakpoint_invariance(self):
         def f(p):
@@ -316,20 +327,21 @@ class TestSumBilateral:
         assert rel(total, 0.5 / math.tanh(0.5)) < 1e-11
 
     def test_gaussian(self):
-        total = sum_bilateral(lambda k: math.exp(-k * k))
+        total = sum_bilateral(lambda k: np.exp(-k * k))
         direct = 1.0 + 2.0 * math.fsum(
             math.exp(-float(k) ** 2) for k in range(1, 10))
         assert rel(total, direct) < 1e-12
 
     def test_single_term(self):
-        total = sum_bilateral(lambda k: 3.25 if k == 0.0 else 0.0)
+        total = sum_bilateral(lambda k: np.where(k == 0.0, 3.25, 0.0))
         assert total == 3.25
 
     def test_asymmetric_summand(self):
         # sum e^{-|k|} * 2^{-sign tweak}: compare against direct truncation
         def term(k):
-            return math.exp(-abs(k)) / (2.0 + math.tanh(k))
-        oracle = math.fsum(term(float(k)) for k in range(-80, 81))
+            return np.exp(-np.abs(k)) / (2.0 + np.tanh(k))
+        oracle = math.fsum(math.exp(-abs(k)) / (2.0 + math.tanh(k))
+                           for k in range(-80, 81))
         assert rel(sum_bilateral(term), oracle) < 1e-11
 
     def test_power_law_tail(self):
@@ -344,6 +356,23 @@ class TestSumBilateral:
             sum_bilateral(lambda k: 1.0 / (1.0 + abs(k)),
                           AccuracyBudget(relative_tolerance=1e-10,
                                          max_terms=2000))
+
+    def test_summand_that_rejects_arrays_raises(self):
+        # the summand gets the (nk, 1) column of k, never a float
+        with pytest.raises(TypeError):
+            sum_bilateral(lambda k: math.exp(-k * k))
+        with pytest.raises(ValueError, match="truth value"):
+            sum_bilateral(lambda k: 3.25 if k == 0.0 else 0.0)
+
+    @pytest.mark.parametrize("widths", [(1.0,), (1.0, 2.0)])
+    def test_transposed_output_raises(self, widths):
+        # (n, nk) instead of (nk, n): one row per sum, not per k; the
+        # first call takes 68 values of k
+        def term(k):
+            return np.exp(-np.abs(k) / np.array(widths)).T
+        with pytest.raises(ValueError, match=r"shape \(%d, 68\).*\(68, 1\)"
+                           % len(widths)):
+            sum_bilateral(term)
 
 
 def frequency_terms(beta, omega, mu):
@@ -379,8 +408,8 @@ class TestElementwiseSums:
                 self.ACC)
             assert isinstance(one, float)
             assert np.float64(one).tobytes() == batch[i].tobytes()
-            # the float-only summand goes point by point through the
-            # scalar fallback and still gives the same bytes
+            # float parameters give one (nk, 1) column of values, and
+            # the same bytes
             scalar = sum_bilateral(frequency_terms(
                 float(beta[i]), float(omega[i]), float(mu[i])), self.ACC)
             assert np.float64(scalar).tobytes() == batch[i].tobytes()

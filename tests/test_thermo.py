@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+from bosegas.condensate import charge_density_rel
+from bosegas.errors import QuadratureError
 from bosegas.specfun import AccuracyBudget, EULER_GAMMA, gamma_upper
 from bosegas.thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
                             ThermalPoint, _bose, _entropy_weight,
@@ -333,37 +335,70 @@ def _report(dim, kind, mass, temp, mu, rtol):
                                ThermalPoint(temp, mu), AccuracyBudget(rtol))
 
 
-def _mpmath_boundary(mpmath, dim, kind, mass, temp, mu):
-    """(pi/3) int d^Dp/(2pi)^D occupation/omega in mpmath, over ln p.
+def _mpmath_moment(mpmath, dim, kind, mass, temp, mu, moment="boundary",
+                   dps=20, second_cuts=False):
+    """int d^Dp/(2pi)^D of one occupation moment in mpmath, over ln p.
 
-    In s = ln p every decade of momentum has the same width, so one
-    tanh-sinh piece spans the decades from below the knee to the decay
-    length L; nothing here shares code with the library's grid.
+    ``moment`` is "boundary" (pi/3 times occupation/omega), "entropy"
+    (the weight x n(x) - ln(1 - e^-x) per mode) or "charge" (particle
+    minus antiparticle occupation).  In s = ln p every decade of momentum
+    has the same width, so one tanh-sinh piece spans the decades from
+    below the knee to the decay length L; nothing here shares code with
+    the library's grid.  ``second_cuts`` splits the domain elsewhere, so
+    that two references can vouch for each other.
     """
     mp = mpmath.mp
     knee = math.sqrt((mass - abs(mu)) * (mass + abs(mu))) or mass
     decay = max(temp, math.sqrt(mass * temp))
-    with mpmath.workdps(20):
+    with mpmath.workdps(dps):
         m, t, a = mp.mpf(mass), mp.mpf(temp), mp.mpf(abs(mu))
         gap2 = (m - a) * (m + a)
+
+        def weight(x):
+            if moment == "entropy":
+                n = 1 / mp.expm1(x)
+                return x * n + mp.log1p(n)
+            return 1 / mp.expm1(x)
 
         def f(s):
             p = mp.exp(s)
             omega = mp.sqrt(p * p + m * m)
-            occ = 1 / mp.expm1((p * p + gap2) / (omega + a) / t)
-            if kind == "charged":
-                occ += 1 / mp.expm1((omega + a) / t)
-            return occ / omega * p ** dim
+            value = weight((p * p + gap2) / (omega + a) / t)
+            if moment == "charge":
+                value -= weight((omega + a) / t)
+            elif kind == "charged":
+                value += weight((omega + a) / t)
+            if moment == "boundary":
+                value /= omega
+            return value * p ** dim
 
         # Beyond p = e^5 L the occupation is below e^-140.
-        value = mp.quad(f, [-mp.inf, mp.log(knee) - 3, mp.log(decay),
-                            mp.log(decay) + 5])
+        knee_s, decay_s = mp.log(knee), mp.log(decay)
+        cuts = ([knee_s - 5, (knee_s + decay_s) / 2, decay_s, decay_s + 2]
+                if second_cuts else [knee_s - 3, decay_s])
+        value = mp.quad(f, [-mp.inf, *cuts, decay_s + 5])
         solid = {1: 2, 2: 2 * mp.pi, 3: 4 * mp.pi}[dim] / (2 * mp.pi) ** dim
-        return float(mp.pi / 3 * solid * value)
+        if moment == "boundary":
+            solid *= mp.pi / 3
+        return float(solid * value)
+
+
+def _mpmath_reference(mpmath, rtol, *args):
+    """A 30-digit reference, checked against a second breakpoint set.
+
+    At 25 digits the entropy reference is 4e-11 off the 30-digit value on
+    D = 2, neutral, m = 1e-10, T = 1e-9, and its two breakpoint sets
+    disagree by 3e-11 there, so the check would catch it.
+    """
+    ref = _mpmath_moment(mpmath, *args, dps=30)
+    other = _mpmath_moment(mpmath, *args, dps=30, second_cuts=True)
+    assert rel(ref, other) <= 0.1 * rtol
+    return ref
 
 
 class TestMpmathReference:
-    """The boundary part against an independent mpmath quadrature.
+    """The boundary part, entropy and charge density against independent
+    mpmath quadratures.
 
     The lattice spans D in {1, 2, 3}, both field kinds, m from 1e-10 to 1,
     T/m from 0.05 to 1e10 and |mu| -> m.  It holds the fixed-mu inputs
@@ -392,13 +427,33 @@ class TestMpmathReference:
         (3, "charged", 1.0, 2.0, -(1 - 1e-10), 1e-12),
         (1, "neutral", 1.0, 30.0, 0.0, 1e-12),
     ]
+    # the D = 3 charged rows at mu != 0, where the charge density is not 0
+    CHARGE_ROWS = [row for row in LATTICE
+                   if row[:2] == (3, "charged") and row[4] != 0.0]
 
     @pytest.mark.parametrize("dim,kind,mass,temp,mu,rtol", LATTICE)
     def test_boundary_part(self, dim, kind, mass, temp, mu, rtol):
         mpmath = pytest.importorskip("mpmath")
         got = _report(dim, kind, mass, temp, mu, rtol).boundary_thermal_part
-        ref = _mpmath_boundary(mpmath, dim, kind, mass, temp, mu)
+        ref = _mpmath_moment(mpmath, dim, kind, mass, temp, mu)
         assert rel(got, ref) <= rtol
+
+    @pytest.mark.parametrize("dim,kind,mass,temp,mu,rtol", LATTICE)
+    def test_entropy_part(self, dim, kind, mass, temp, mu, rtol):
+        mpmath = pytest.importorskip("mpmath")
+        got = _report(dim, kind, mass, temp, mu, rtol).extensive_thermal_part
+        ref = _mpmath_reference(mpmath, rtol, dim, kind, mass, temp, mu,
+                                "entropy")
+        assert rel(got, -0.5 * ref) <= rtol
+
+    @pytest.mark.parametrize("dim,kind,mass,temp,mu,rtol", CHARGE_ROWS)
+    def test_charge_density(self, dim, kind, mass, temp, mu, rtol):
+        mpmath = pytest.importorskip("mpmath")
+        got = charge_density_rel(ThermalPoint(temp, mu), mass,
+                                 AccuracyBudget(rtol))
+        ref = _mpmath_reference(mpmath, rtol, dim, kind, mass, temp, mu,
+                                "charge")
+        assert rel(got, math.copysign(ref, mu)) <= rtol
 
 
 class TestRequestedAccuracy:
@@ -444,3 +499,52 @@ class TestGridWork:
             mutual_info_charged(params, GEO, point,
                                 AccuracyBudget(relative_tolerance=1e-8))
         assert gk15_panels[0] <= 6_000
+
+
+class TestReportProperties:
+    """Properties of every fixed-mu report, over drawn inputs."""
+
+    def test_fixed_mu_reports(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(st.sampled_from([1, 2, 3]), st.floats(-4.0, 2.0),
+                          st.floats(-2.0, 4.0), st.floats(0.0, 1.0),
+                          st.floats(-14.0, -3.0))
+        def check(dim, log_mass, log_temp, fraction, log_rtol):
+            mass = 10.0 ** log_mass
+            if fraction == 1.0 and dim != 3:
+                fraction = 0.5     # |mu| = m is in the domain in D = 3 only
+            point = ThermalPoint(mass * 10.0 ** log_temp, fraction * mass)
+            flipped = ThermalPoint(point.temperature, -fraction * mass)
+            acc = AccuracyBudget(10.0 ** log_rtol)
+            try:
+                rep = mutual_info_charged(charged(mass, dim, 1e4 * mass),
+                                          GEO, point, acc)
+            except (ValueError, QuadratureError):
+                return          # a documented error instead of a value
+            values = [rep.zero_t_part, rep.boundary_thermal_part,
+                      rep.extensive_thermal_part, rep.geometric_entropy,
+                      rep.mutual_information]
+            assert all(math.isfinite(v) for v in values)
+            assert rep.boundary_thermal_part >= 0.0
+            assert rep.extensive_thermal_part <= 0.0
+            assert rep.geometric_entropy == (rep.zero_t_part
+                                             + rep.boundary_thermal_part
+                                             + rep.extensive_thermal_part)
+            assert rep.mutual_information == (rep.zero_t_part
+                                              + rep.boundary_thermal_part)
+            assert mutual_info_charged(charged(mass, dim, 1e4 * mass), GEO,
+                                       flipped, acc) == rep
+            if fraction == 0.0:
+                one = mutual_info_neutral(neutral(mass, dim, 1e4 * mass),
+                                          GEO, ThermalPoint(
+                                              point.temperature), acc)
+                assert [2.0 * v for v in (
+                    one.zero_t_part, one.boundary_thermal_part,
+                    one.extensive_thermal_part, one.geometric_entropy,
+                    one.mutual_information)] == values
+
+        check()
