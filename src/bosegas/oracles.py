@@ -50,8 +50,9 @@ import numpy as np
 
 from .condensate import (ChargeSpec, Regime, _stencil_discontinuity,
                          discontinuity_estimate)
-from .quadrature import RadialIntegralSpec, integrate_radial, sum_bilateral
-from .specfun import (_NU_MAX, AccuracyBudget, _bessel_i_scaled_ladder,
+from .quadrature import _integrate_radial_rows, sum_bilateral
+from .specfun import (_J_SERIES_MAX_X, _NU_MAX, AccuracyBudget,
+                      _bessel_i_scaled_ladder, _bessel_j_miller,
                       bessel_i_scaled, bessel_j)
 from .thermo import FieldKind, Geometry, ModelParams
 
@@ -126,69 +127,78 @@ def _f_n_closed(n: float, alpha: float) -> float:
         / (2.0 * math.sqrt(alpha * alpha - 1.0))
 
 
-def _laplace_bessel_quads(n: float, alpha: float,
-                          m_top: int) -> Callable[[int], float]:
-    """``quad(m) = int_0^inf e^{-alpha q} I_{m/n}(q) dq`` for ``m <= m_top``.
+def _order_table(nus: Sequence[float], ladder: Callable
+                 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``values(xs, rows)``: order ``nus[rows]`` at ``xs``, elementwise.
 
-    Each order keeps its own adaptive quadrature, but all of them sample
-    one table, local to this call, of ``e^{-q} I_{m/n}(q)`` for every
-    order at every node seen so far.  Orders whose difference is an
-    integer share one ladder ``f, f+1, ...`` (one pivot series per node;
-    see ``_bessel_i_scaled_ladder``), so an integer ``n`` needs ``n``
-    ladders per node.  The tail map uses four decay lengths: at two, the
-    rule's error estimate at nu = 6, alpha = 1.5 claims the 1e-11 budget
-    while the transform is 1.2e-10 off.
+    Reads one table, local to this call, of every order at every argument
+    seen so far; each round tabulates only the new arguments.  Orders
+    whose difference is an integer share one ``ladder(f, count, xs)``
+    (rungs ``f, f+1, ...`` as a (count, len(xs)) array), so an argument
+    costs one ladder per fractional part: ``n`` for integer ``n``.
     """
-    decay = alpha - 1.0
-    ladders: list[tuple[float, list[int], list[int]]] = []   # (f, ms, rungs)
-    for m in range(m_top + 1):
-        nu = m / n
-        for f, ms, rungs in ladders:
+    groups: list[tuple[float, list[int], list[int]]] = []  # f, members, rungs
+    for i, nu in enumerate(nus):
+        for f, members, rungs in groups:
             rung = round(nu - f)
             if abs(nu - f - rung) < 1e-9:    # same fractional part
-                ms.append(m)
+                members.append(i)
                 rungs.append(rung)
                 break
         else:
-            ladders.append((nu, [m], [0]))
-    table: dict[float, np.ndarray] = {}     # node -> value of every order
+            groups.append((nu, [i], [0]))
+    table: dict[float, np.ndarray] = {}     # argument -> every order
 
-    def tabulate(nodes: list[float]) -> None:
-        new = [q for q in dict.fromkeys(nodes) if q not in table]
-        if not new:
-            return
-        xs = np.array(new)
-        block = np.empty((m_top + 1, len(new)))
-        for f, ms, rungs in ladders:
-            block[ms] = _bessel_i_scaled_ladder(f, rungs[-1] + 1, xs)[rungs]
-        table.update(zip(new, block.T.copy()))
+    def values(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        args = xs.ravel().tolist()
+        new = [x for x in dict.fromkeys(args) if x not in table]
+        if new:
+            block = np.empty((len(nus), len(new)))
+            for f, members, rungs in groups:
+                block[members] = ladder(f, rungs[-1] + 1, np.array(new))[rungs]
+            table.update(zip(new, block.T.copy()))
+        orders = np.broadcast_to(rows, xs.shape).ravel().tolist()
+        return np.reshape([table[x][m] for x, m in zip(args, orders)],
+                          xs.shape)
 
-    def quad(m: int) -> float:
-        if m > m_top:
-            raise ValueError(f"Bessel order must lie in [0, {_NU_MAX}], "
-                             f"got {m / n!r}")
+    return values
 
-        def integrand(qs: np.ndarray) -> np.ndarray:
-            nodes = qs.tolist()
-            tabulate(nodes)
-            return np.exp(-decay * qs) * [table[q][m] for q in nodes]
 
-        spec = RadialIntegralSpec(1, integrand, singular_points=(1.0,),
-                                  accuracy=_ORACLE_ACC,
-                                  tail_scale=4.0 / decay)
-        # dimension-1 radial integrals carry the momentum-measure factor
-        # 1/pi; undo it to get the plain half-line integral.
-        return math.pi * integrate_radial(spec)
+def _orders_integrated(integrand: Callable, count: int, grid: tuple
+                       ) -> list[float]:
+    """Row ``m < count`` of one ``_integrate_radial_rows`` batch of the
+    dimension-1 ``integrand(ps, rows)``, times pi: the plain half-line
+    integral.  Raises the first failing row's exception."""
+    rows = _integrate_radial_rows(1, integrand, [grid] * count, _ORACLE_ACC)
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return [math.pi * row for row in rows]
 
-    return quad
+
+def _laplace_bessel_quads(n: float, alpha: float, m_top: int) -> list[float]:
+    """``int_0^inf e^{-alpha q} I_{m/n}(q) dq`` for every ``m <= m_top``:
+    the rows of one batch on an ``_order_table`` of ``e^{-q} I_{m/n}(q)``.
+    The tail map uses four decay lengths: at two, the rule's error
+    estimate at nu = 6, alpha = 1.5 claims the 1e-11 budget while the
+    transform is 1.2e-10 off."""
+    decay = alpha - 1.0
+    values = _order_table([m / n for m in range(m_top + 1)],
+                          _bessel_i_scaled_ladder)
+
+    def integrand(qs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.exp(-decay * qs) * values(qs, rows)
+
+    return _orders_integrated(integrand, m_top + 1, ((1.0,), 4.0 / decay))
 
 
 def check_f_n_alpha(n: float, alpha: float) -> OracleReport:
     """Order-summed Bessel Laplace transform vs its coth closed form.
 
-    The left route integrates ``e^{-alpha q} I_{|m|/n}(q)`` term by term
-    with adaptive quadrature and sums orders until the closed-form tail
-    is negligible; the right route is the coth expression.
+    The left route integrates ``e^{-alpha q} I_{|m|/n}(q)`` order by order
+    (the rows of one adaptive batch) up to the first order whose
+    closed-form tail is negligible, and sums them; the right route is the
+    coth expression.
     ``parameters`` records the orders actually summed (``orders_summed``)
     and the cap the loop may run to (``order_cap``).  Additionally
     the finite part of ``F_n(1+eps) - n/(2 eps)`` is extracted by
@@ -214,11 +224,15 @@ def check_f_n_alpha(n: float, alpha: float) -> OracleReport:
         partial += closed_term
         if closed_term / (1.0 - step) < 1e-15 * partial:
             break
-    quad = _laplace_bessel_quads(n, alpha, min(m_top, int(_NU_MAX * n)))
-    lhs = 0.5 * quad(0)
+    m_cap = int(_NU_MAX * n)
+    quads = _laplace_bessel_quads(n, alpha, min(m_top, m_cap))
+    if m_top > m_cap:        # after the integrals, whose arguments may fail
+        raise ValueError(f"Bessel order must lie in [0, {_NU_MAX}], "
+                         f"got {(m_cap + 1) / n!r}")
+    lhs = 0.5 * quads[0]
     max_term_err = 0.0
     for m in range(1, m_top + 1):
-        quad_term = quad(m)
+        quad_term = quads[m]
         closed_term = step ** m * inv_root
         max_term_err = max(max_term_err,
                            abs(quad_term - closed_term)
@@ -357,22 +371,31 @@ def check_poisson_resummation(beta: float, t_schwinger: float,
 # Bessel sum rules and the Weber integral chain
 # ----------------------------------------------------------------------
 
-def _weber_quad(nu: float, a: float) -> float:
-    """int_0^inf rho e^{-rho^2} J_nu(a rho)^2 d rho (R = 1 units); the
-    integrand takes the node array and calls ``bessel_j`` node by node."""
-    cap = 9.5                     # e^{-cap^2} ~ 1e-40: beyond is zero
+def _bessel_j_ladder(f: float, count: int, xs: np.ndarray) -> np.ndarray:
+    """``J_{f+j}(x)`` for ``j < count`` as a (count, len(xs)) array: the
+    per-order series up to ``x = 8``, one Miller ladder per ``x`` beyond."""
+    return np.array([
+        _bessel_j_miller(f, count, x) if x > _J_SERIES_MAX_X
+        else [bessel_j(f + j, x) for j in range(count)]
+        for x in xs.tolist()]).T
 
-    def integrand(ps: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(ps))
-        for i, p in enumerate(ps.tolist()):
-            if p <= cap:
-                j = bessel_j(nu, a * p)
-                out[i] = p * math.exp(-p * p) * j * j
+
+def _weber_quads(nus: Sequence[float], a: float) -> list[float]:
+    """``int_0^inf rho e^{-rho^2} J_nu(a rho)^2 d rho`` (R = 1 units) for
+    each ``nu`` of ``nus``: the rows of one batch on an ``_order_table``
+    of ``J_nu(a rho)``."""
+    cap = 9.5                     # e^{-cap^2} ~ 1e-40: beyond is zero
+    values = _order_table(nus, _bessel_j_ladder)
+
+    def integrand(ps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        near = ps <= cap
+        p = ps[near]
+        js = values(a * p, np.broadcast_to(rows, ps.shape)[near])
+        out = np.zeros(ps.shape)
+        out[near] = p * np.exp(-p * p) * js * js
         return out
 
-    spec = RadialIntegralSpec(1, integrand, singular_points=(1.0, cap),
-                              accuracy=_ORACLE_ACC, tail_scale=1.0)
-    return math.pi * integrate_radial(spec)
+    return _orders_integrated(integrand, len(nus), ((1.0, cap), 1.0))
 
 
 def check_bessel_identities(z: float, n: float, a_r: float) -> OracleReport:
@@ -397,7 +420,7 @@ def check_bessel_identities(z: float, n: float, a_r: float) -> OracleReport:
 
     # (i) sum rules at integer order.
     m_top = int(z) + 40
-    js = [bessel_j(float(m), z) for m in range(m_top + 1)]
+    js = _bessel_j_ladder(0.0, m_top + 1, np.array([z]))[:, 0].tolist()
     real_sum = js[0]
     imag_sum = 0.0
     for m in range(1, m_top + 1):
@@ -410,12 +433,11 @@ def check_bessel_identities(z: float, n: float, a_r: float) -> OracleReport:
     unity = js[0] ** 2 + 2.0 * math.fsum(j * j for j in js[1:])
     err_unity = abs(unity - 1.0)
 
-    # (ii) Weber integrals, term by term.
+    # (ii) Weber integrals, one row per order.
     x = 0.5 * a_r * a_r
+    nus = [m / n for m in range(4)]
     weber_errors = []
-    for m in range(4):
-        nu = m / n
-        quad = _weber_quad(nu, a_r)
+    for nu, quad in zip(nus, _weber_quads(nus, a_r)):
         closed = 0.5 * bessel_i_scaled(nu, x)
         weber_errors.append(abs(quad - closed) / max(closed, 1e-300))
     err_weber = max(weber_errors)

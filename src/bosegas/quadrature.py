@@ -23,10 +23,11 @@ One adaptive loop, the ``_adaptive`` coroutine, holds the GK15 heap and
 asks for the panels it needs; two routes run it.  ``integrate_radial``
 runs one loop and evaluates panels with ``_gk15_batch``.  The batched route
 ``_integrate_radial_rows`` runs one loop per row of a batch (a sweep's
-temperatures): each round it evaluates the panels every open row asked
-for with one integrand call per piece kind, each panel tagged with its
-row, and reduces every panel along its own nodes, so a row's bits do not
-depend on which rows share its batch.
+temperatures, or the Bessel orders of one oracle check): each round it
+evaluates the panels every open row asked for with one integrand call
+per piece kind, each panel tagged with its row, and reduces every panel
+along its own nodes, so a row's bits do not depend on which rows share
+its batch.
 
 ``sum_bilateral`` evaluates :math:`\sum_{k=-\infty}^{\infty} g(k)` by direct
 symmetric summation to |k| = 16, 32, 64, ..., plus at each checkpoint an
@@ -315,13 +316,15 @@ def _gk15_tagged(f: Callable, los: np.ndarray, his: np.ndarray,
                  rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """GK15 on panels [lo, hi] of several rows from one call ``f(xs,
     tags)``, with 15 nodes per panel in ``xs`` and the panels' rows in
-    ``tags`` (shape (panels, 1)).  Returns the nodes, their values and
-    each panel's integral and error."""
+    ``tags`` (shape (panels, 1)).  Returns the nodes, the mask of finite
+    values (tested first; others reduce as 0, so nothing warns) and each
+    panel's integral and error."""
     halves = 0.5 * (his - los)
     xs = (0.5 * (los + his))[:, None] + halves[:, None] * _XGK
     ys = f(xs, rows[:, None])
-    resk, err = _gk15_reduce(ys)
-    return xs, ys, resk * halves, err * halves
+    finite = np.isfinite(ys)
+    resk, err = _gk15_reduce(np.where(finite, ys, 0.0))
+    return xs, finite, resk * halves, err * halves
 
 
 def _integrate_radial_rows(dimension: int, integrand: Callable,
@@ -360,14 +363,13 @@ def _integrate_radial_rows(dimension: int, integrand: Callable,
             lohi = np.array([span for _, panels in owned for span in panels])
             tags = np.repeat([i for i, _ in owned],
                              [len(panels) for _, panels in owned])
-            xs, ys, values, errors = _gk15_tagged(f, lohi[:, 0], lohi[:, 1],
-                                                  tags)
+            xs, finite, values, errors = _gk15_tagged(
+                f, lohi[:, 0], lohi[:, 1], tags)
             pairs = list(zip(values.tolist(), errors.tolist()))
             start = 0
             for i, panels in owned:
                 replies[i] = pairs[start:start + len(panels)]
                 start += len(panels)
-            finite = np.isfinite(ys)
             for j in np.flatnonzero(~finite.all(axis=1)):
                 bad.setdefault(int(tags[j]), xs[j][~finite[j]][0])
         pending = {}

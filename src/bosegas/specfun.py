@@ -19,6 +19,8 @@ except for one private helper that fills a numpy array:
   one downward ratio recurrence.
 * ``bessel_j`` (first kind) by alternating series for small argument and
   Miller downward recurrence with series normalization for large argument.
+  The private ``_bessel_j_miller`` gives the whole ladder ``f, f+1, ...``
+  at one argument from that one recurrence.
 
 All iteration caps raise :class:`~bosegas.errors.ConvergenceError` rather
 than silently returning a stale partial sum.
@@ -489,33 +491,31 @@ def _bessel_j_series(nu: float, x: float) -> float:
     raise ConvergenceError("J_nu series stalled")
 
 
-def _bessel_j_miller(nu: float, x: float) -> float:
-    """Miller downward recurrence, normalized by a series identity.
+def _bessel_j_miller(f: float, count: int, x: float) -> list[float]:
+    """``J_{f+j}(x)`` for every ``j < count``, ``0 <= f < 1``, from one
+    Miller downward recurrence normalized by a series identity.
 
+    One descent from ``n_top = int(max(x, count - 1)) + 64`` passes every
+    rung below its start, so it yields them all (Gautschi, SIAM Rev. 9
+    (1967) 24); each kept rung is rescaled with the running values.
     Integer order uses ``J_0 + 2 sum_k J_{2k} = 1``; fractional order
-    ``nu = f + m`` uses ``(x/2)^f = sum_k (f+2k) Gamma(f+k)/k! J_{f+2k}``.
+    ``(x/2)^f = sum_k (f+2k) Gamma(f+k)/k! J_{f+2k}``.
     """
-    f = nu - math.floor(nu)
-    m = int(round(nu - f))
     integer_order = f < _LATTICE_TOL
-    n_top = int(max(x, float(m))) + 64
+    n_top = int(max(x, float(count - 1))) + 64
 
     big = 1e250
     y_up = 0.0                       # y at index j+1
     y = 1e-300                       # y at index j = n_top
     norm = 0.0
-    y_target = 0.0
-    have_target = n_top == m
-    if have_target:
-        y_target = y
+    kept = [0.0] * count             # y at index j, once j < count
     j = n_top
     while j > 0:
         y_down = (2.0 * (f + j) / x) * y - y_up
         y_up, y = y, y_down
         j -= 1
-        if j == m:
-            y_target = y
-            have_target = True
+        if j < count:
+            kept[j] = y
         if j % 2 == 0:
             if integer_order:
                 norm += (y if j == 0 else 2.0 * y)
@@ -528,12 +528,10 @@ def _bessel_j_miller(nu: float, x: float) -> float:
             y /= big
             y_up /= big
             norm /= big
-            if have_target:
-                y_target /= big
-    if not have_target:
-        raise ConvergenceError("Miller recurrence never reached target order")
+            for i in range(j, count):
+                kept[i] /= big
     scale = 1.0 if integer_order else (0.5 * x) ** f
-    return y_target * scale / norm
+    return [y * scale / norm for y in kept]
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -547,4 +545,6 @@ def bessel_j(nu: float, x: float) -> float:
         return 1.0 if nu == 0.0 else 0.0
     if x <= _J_SERIES_MAX_X:
         return _bessel_j_series(nu, x)
-    return _bessel_j_miller(nu, x)
+    f = nu - math.floor(nu)
+    m = int(round(nu - f))
+    return _bessel_j_miller(f, m + 1, x)[m]

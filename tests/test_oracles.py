@@ -5,6 +5,7 @@ recorded.
 
 import math
 
+import numpy as np
 import pytest
 
 from bosegas import oracles
@@ -12,6 +13,8 @@ from bosegas.oracles import (FAMILIES, OracleReport, check_bessel_identities,
                              check_f_n_alpha, check_log_sum_derivative,
                              check_matsubara_sum, check_poisson_resummation,
                              run_suite)
+from bosegas.quadrature import RadialIntegralSpec, integrate_radial
+from bosegas.specfun import bessel_i_scaled, bessel_j
 
 
 @pytest.fixture(scope="module")
@@ -118,22 +121,34 @@ class TestLaplace:
         (1.0, 2.0, 27), (4.0, 1.5, 145), (1.0, 1.01, 245)])
     def test_orders_summed_counts_the_orders_integrated(self, n, alpha,
                                                         summed, monkeypatch):
-        orders = []
-        inner = oracles._laplace_bessel_quads
+        # every order is one row of one batch: count the rows integrated
+        batches = []
+        inner = oracles._integrate_radial_rows
 
-        def recording(*args):
-            quad = inner(*args)
+        def recording(dimension, integrand, grids, acc):
+            batches.append(len(grids))
+            return inner(dimension, integrand, grids, acc)
 
-            def counted(m):
-                orders.append(m)
-                return quad(m)
-            return counted
-
-        monkeypatch.setattr(oracles, "_laplace_bessel_quads", recording)
+        monkeypatch.setattr(oracles, "_integrate_radial_rows", recording)
         rep = check_f_n_alpha(n, alpha)
-        assert orders == list(range(summed + 1))
+        assert batches == [summed + 1]
         assert rep.parameters["orders_summed"] == summed
         assert rep.parameters["order_cap"] > summed
+
+    @pytest.mark.parametrize("n,alpha,m_top", [(1.0, 2.0, 27),
+                                               (3.0, 1.5, 109)])
+    def test_batched_orders_match_single_integrals(self, n, alpha, m_top):
+        decay = alpha - 1.0
+        batch = oracles._laplace_bessel_quads(n, alpha, m_top)
+        assert len(batch) == m_top + 1
+        for m, got in enumerate(batch):
+            spec = RadialIntegralSpec(
+                1, lambda qs, nu=m / n: np.exp(-decay * qs) * [
+                    bessel_i_scaled(nu, q) for q in qs.tolist()],
+                singular_points=(1.0,), accuracy=oracles._ORACLE_ACC,
+                tail_scale=4.0 / decay)
+            single = math.pi * integrate_radial(spec)
+            assert abs(got / single - 1.0) <= 1e-13
 
     def test_node_table_is_local_to_one_check(self):
         first = (2.0, 1.5)
@@ -229,6 +244,20 @@ class TestBessel:
         for n in (1.0, 3.0):
             rep = check_bessel_identities(3.0, n, 10.0)
             assert abs(rep.parameters["plateau_measured"] - n) < 1e-5
+
+    @pytest.mark.parametrize("n", [1.0, 2.0])
+    @pytest.mark.parametrize("a_r", [5.0, 20.0])
+    def test_batched_weber_orders_match_single_integrals(self, n, a_r):
+        nus = [m / n for m in range(4)]
+        for nu, got in zip(nus, oracles._weber_quads(nus, a_r)):
+            def integrand(ps, nu=nu):
+                return np.array([p * math.exp(-p * p) * bessel_j(nu, a_r * p)
+                                 ** 2 if p <= 9.5 else 0.0
+                                 for p in ps.tolist()])
+            spec = RadialIntegralSpec(1, integrand, singular_points=(1.0, 9.5),
+                                      accuracy=oracles._ORACLE_ACC)
+            single = math.pi * integrate_radial(spec)
+            assert abs(got / single - 1.0) <= 1e-13
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from bosegas.specfun import (AccuracyBudget, DEFAULT_BUDGET,
-                             _bessel_i_scaled_ladder, bessel_i,
+                             _bessel_i_scaled_ladder, _bessel_j_miller,
+                             bessel_i,
                              bessel_i_scaled, bessel_j, gamma_upper, polylog,
                              zeta)
 
@@ -282,3 +283,46 @@ class TestBesselJ:
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_j(300.0, 1.0)
+
+
+class TestBesselJLadder:
+    """``_bessel_j_miller``: every rung ``J_{f+j}`` from one recurrence."""
+
+    # bessel_j at the commit before the ladder; it must keep these bits
+    PINNED = [
+        ((0.0, 3.0), -0.26005195490193345),
+        ((2.5, 5.0), 0.24037720111131738),
+        ((1.0 / 3.0, 7.9), 0.2711241071043309),
+        ((0.0, 12.5), 0.14688405470042112),
+        ((3.0, 37.0), 0.12864266033408137),
+        ((2.5, 17.0), 0.1935107520862612),
+        ((4.0 / 3.0, 100.0), -0.07707829780857685),
+        ((1.0, 209.0), 0.042229681151013755),
+        ((40.0, 20.0), 9.902389413744689e-10),
+    ]
+
+    @pytest.mark.parametrize("args,value", PINNED)
+    def test_bessel_j_keeps_its_bits(self, args, value):
+        assert bessel_j(*args) == value
+
+    @pytest.mark.parametrize("f", [0.0, 0.5, 1.0 / 3.0])
+    @pytest.mark.parametrize("x", [8.01, 12.5, 37.3, 209.0, 1000.0])
+    def test_rungs_are_bessel_j_bitwise(self, f, x):
+        # with count - 1 <= x the descent starts where bessel_j's does;
+        # bessel_j(nu) reads the ladder of nu's own fractional part, which
+        # for f = 1/3 differs from f in the last bit once j >= 1
+        count = min(int(x) + 1, 40)
+        for j in range(count):
+            nu = f + j
+            ladder = _bessel_j_miller(nu - math.floor(nu), count, x)
+            assert ladder[j] == bessel_j(nu, x)
+
+    @pytest.mark.parametrize("f", [0.0, 0.5])
+    @pytest.mark.parametrize("z", [8.5, 12.5, 37.0, 50.0])
+    def test_long_ladder_matches_per_order(self, f, z):
+        # the sum-rule list: orders 0..z + 40, so the descent starts higher
+        count = int(z) + 41
+        ladder = _bessel_j_miller(f, count, z)
+        assert len(ladder) == count
+        for j, value in enumerate(ladder):
+            assert abs(value - bessel_j(f + j, z)) <= 1e-14
