@@ -3,7 +3,9 @@ unsatisfiable comparison must fail honestly with the measured value
 recorded.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from bosegas.oracles import (FAMILIES, OracleReport, check_bessel_identities,
                              run_suite)
 from bosegas.quadrature import RadialIntegralSpec, integrate_radial
 from bosegas.specfun import bessel_i_scaled, bessel_j
+
+# Every run_suite() report's relative_error and passed, as first recorded.
+RECORDS = Path(__file__).parent / "data" / "oracle_records.json"
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +72,17 @@ class TestSuite:
     def test_families_constant(self):
         assert FAMILIES == ("laplace", "matsubara", "logsum", "poisson",
                             "bessel", "jump")
+
+    def test_precision_ratchet(self, suite):
+        # Each report's error may not grow past 10x its recorded value
+        # (floor 1e-16), and no report may change its verdict.
+        records = json.loads(RECORDS.read_text())
+        assert len(records) == len(suite)
+        for record, report in zip(records, suite):
+            assert report.identity_name == record["identity_name"]
+            assert report.passed == record["passed"]
+            assert report.relative_error <= 10.0 * max(
+                record["relative_error"], 1e-16), record
 
 
 class TestMatsubara:
