@@ -154,6 +154,8 @@ class CondensateState:
 
     temperature: float          # T > 0
     mu: float                   # relativistic chemical potential, |mu| <= m
+                                # except in an NR gas hotter than about m,
+                                # where |mu| > m (with a UserWarning)
     z_nr: float                 # non-relativistic fugacity e^((|mu|-m)/T)
     excited_density: float      # |charge| carried by excited modes
     condensate_density: float   # |charge| in the zero mode (0 in the gas)

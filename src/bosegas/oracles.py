@@ -51,9 +51,8 @@ import numpy as np
 from .condensate import (ChargeSpec, Regime, _stencil_discontinuity,
                          discontinuity_estimate)
 from .quadrature import _integrate_radial_rows, sum_bilateral
-from .specfun import (_J_SERIES_MAX_X, _NU_MAX, AccuracyBudget,
-                      _bessel_i_scaled_ladder, _bessel_j_miller,
-                      bessel_i_scaled, bessel_j)
+from .specfun import (_NU_MAX, AccuracyBudget, _bessel_i_scaled_ladder,
+                      _bessel_j_ladder, bessel_i_scaled)
 from .thermo import FieldKind, Geometry, ModelParams
 
 __all__ = [
@@ -370,15 +369,6 @@ def check_poisson_resummation(beta: float, t_schwinger: float,
 # ----------------------------------------------------------------------
 # Bessel sum rules and the Weber integral chain
 # ----------------------------------------------------------------------
-
-def _bessel_j_ladder(f: float, count: int, xs: np.ndarray) -> np.ndarray:
-    """``J_{f+j}(x)`` for ``j < count`` as a (count, len(xs)) array: the
-    per-order series up to ``x = 8``, one Miller ladder per ``x`` beyond."""
-    return np.array([
-        _bessel_j_miller(f, count, x) if x > _J_SERIES_MAX_X
-        else [bessel_j(f + j, x) for j in range(count)]
-        for x in xs.tolist()]).T
-
 
 def _weber_quads(nus: Sequence[float], a: float) -> list[float]:
     """``int_0^inf rho e^{-rho^2} J_nu(a rho)^2 d rho`` (R = 1 units) for

@@ -17,10 +17,18 @@ except for one private helper that fills a numpy array:
   The private ``_bessel_i_scaled_ladder`` gives a whole ladder of orders
   ``f, f+1, ...`` at many arguments from one such series per argument and
   one downward ratio recurrence.
-* ``bessel_j`` (first kind) by alternating series for small argument and
-  Miller downward recurrence with series normalization for large argument.
-  The private ``_bessel_j_miller`` gives the whole ladder ``f, f+1, ...``
-  at one argument from that one recurrence.
+* ``bessel_j`` (first kind), as one rung of the private
+  ``_bessel_j_ladder``, which gives ``J_{f+j}`` for every ``j < count`` at
+  every argument of a table, with one of three branches per argument and
+  order: for ``x <= 7`` the ascending series of all orders and arguments
+  at once; for ``x >= 18`` and orders below ``x`` Hankel's large-argument
+  expansion (DLMF 10.17(i)) for ``J_f`` and ``J_{f+1}``, then the upward
+  recurrence, which is stable below the turning point ``nu = x``; and
+  otherwise one Miller downward recurrence per argument with a
+  series-identity normalizer, started 64 orders above ``max(x, count-1)``
+  (clear of the turning point's Airy layer, since Miller now runs only
+  where ``x < 18`` or ``x <= nu <= 256``).  Every branch is within 1e-14
+  (absolute) of 30-digit references for ``x <= 1e4``, ``nu <= 256``.
 
 All iteration caps raise :class:`~bosegas.errors.ConvergenceError` rather
 than silently returning a stale partial sum.
@@ -28,6 +36,7 @@ than silently returning a stale partial sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,8 +133,13 @@ def _zeta_euler_maclaurin(s: float, n_direct: int = 24) -> float:
     return direct + tail + corr
 
 
+@functools.lru_cache(maxsize=256)
 def _zeta_any(s: float) -> float:
-    """zeta(s) for any real s != 1, via reflection when s is very negative."""
+    """zeta(s) for any real s != 1, via reflection when s is very negative.
+
+    Memoised: the endpoint expansion of ``polylog`` asks for the same few
+    ``zeta(s - k)`` on every call.
+    """
     if s == 1.0:
         raise ValueError("zeta has a pole at s = 1")
     if s >= -0.5:
@@ -473,22 +487,72 @@ def bessel_i(nu: float, x: float) -> float:
 # Bessel J_nu, first kind, nu >= 0, x >= 0
 # ----------------------------------------------------------------------
 
-_J_SERIES_MAX_X = 8.0      # alternating series loses ~3 digits by x = 8
+_J_SERIES_MAX_X = 7.0      # the alternating series is 1.5e-14 off by x = 8
+_J_HANKEL_MIN_X = 18.0     # Hankel's smallest term, ~e^{-2x}, is below eps
 
 
-def _bessel_j_series(nu: float, x: float) -> float:
-    q = 0.5 * x
-    term = math.exp(nu * math.log(q) - math.lgamma(nu + 1.0)) if q > 0 else \
-        (1.0 if nu == 0.0 else 0.0)
-    terms = [term]
-    peak = abs(term)
-    for k in range(0, 400):
-        term *= -(q * q) / ((k + 1.0) * (k + 1.0 + nu))
-        terms.append(term)
-        peak = max(peak, abs(term))
-        if abs(term) < 1e-18 * peak:
-            return math.fsum(terms)
-    raise ConvergenceError("J_nu series stalled")
+def _bessel_j_series(orders: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Ascending series of ``J_nu(x)``, ``x <= 7``, for every order of
+    ``orders`` at every argument of ``xs``, as a (len(orders), len(xs))
+    array.
+
+    Each pair keeps its terms up to the first one at most 1e-18 of the
+    largest so far, at most 32 after the first (enough for ``x <= 7``),
+    and adds them with ``math.fsum``.
+    """
+    q = 0.5 * xs
+    first = np.reshape([
+        math.exp(nu * math.log(h) - math.lgamma(nu + 1.0)) if h > 0.0
+        else (1.0 if nu == 0.0 else 0.0)
+        for nu in orders.tolist() for h in q.tolist()
+    ], (1, orders.size, xs.size))
+    k = np.arange(1.0, 33.0)[:, None, None]
+    ratios = -(q * q) / (k * (k + orders[:, None]))
+    terms = np.cumprod(np.concatenate([first, ratios]), axis=0)
+    size = np.abs(terms)
+    small = size <= 1e-18 * np.maximum.accumulate(size)
+    small[0] = False
+    if not small.any(axis=0).all():
+        raise ConvergenceError("J_nu series stalled")
+    terms[np.arange(len(terms))[:, None, None] > np.argmax(small, axis=0)] = 0.0
+    columns = terms.reshape(len(terms), -1).T.tolist()
+    return np.reshape([math.fsum(c) for c in columns], first.shape[1:])
+
+
+def _bessel_j_hankel(f: float, xs: np.ndarray) -> np.ndarray:
+    """``J_f(x)`` and ``J_{f+1}(x)`` at every ``x >= 18``, as a (2, len(xs))
+    array, from Hankel's expansion (DLMF 10.17.3).
+
+    ``J = sqrt(2/(pi x)) (P cos w - Q sin w)`` with ``w = x - phi``,
+    ``phi = (nu/2 + 1/4) pi``.  ``P`` and ``Q`` share the terms
+    ``a_k(nu) / x^k``, kept while they shrink and up to the first below
+    1e-18; they grow again from ``k ~ 2x``, so for ``x >= 18`` that stops
+    by ``k = 41``, inside the 48 terms built.
+    ``cos w`` and ``sin w`` are expanded in ``cos x`` and ``sin x`` of the
+    exact argument, so the phase keeps full precision up to ``x = 1e4``.
+    """
+    nus = np.array([[f], [f + 1.0]])
+    mu = 4.0 * nus * nus
+    k = np.arange(1.0, 49.0)[:, None, None]
+    ratios = (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * xs)
+    terms = np.cumprod(np.concatenate([np.ones((1, 2, xs.size)), ratios]),
+                       axis=0)
+    size = np.abs(terms)
+    kept = np.logical_and.accumulate(
+        (size[1:] < size[:-1]) & (size[:-1] > 1e-18), axis=0)
+    if kept[-1].any():
+        raise ConvergenceError("Hankel expansion of J_nu stalled")
+    terms[1:][~kept] = 0.0
+    terms[2::4] *= -1.0                       # (-1)^k a_2k for P
+    terms[3::4] *= -1.0                       # (-1)^k a_2k+1 for Q
+    p = np.cumsum(terms[0::2], axis=0)[-1]
+    q = np.cumsum(terms[1::2], axis=0)[-1]
+    phi = (0.5 * nus + 0.25) * math.pi
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    cos_x, sin_x = np.cos(xs), np.sin(xs)
+    cos_w = cos_x * cos_phi + sin_x * sin_phi
+    sin_w = sin_x * cos_phi - cos_x * sin_phi
+    return np.sqrt(2.0 / (math.pi * xs)) * (p * cos_w - q * sin_w)
 
 
 def _bessel_j_miller(f: float, count: int, x: float) -> list[float]:
@@ -534,17 +598,61 @@ def _bessel_j_miller(f: float, count: int, x: float) -> list[float]:
     return [y * scale / norm for y in kept]
 
 
+def _bessel_j_ladder(f: float, count: int, xs: np.ndarray) -> np.ndarray:
+    """``J_{f+j}(x)`` for ``j < count``, ``0 <= f < 1``, as a
+    (count, len(xs)) array, with one branch per argument and order:
+
+    * ``x <= 7``: the ascending series of every order, for all such
+      arguments at once;
+    * ``x >= 18`` and ``f + j < x``: Hankel's expansion for ``J_f`` and
+      ``J_{f+1}``, then the upward recurrence ``J_{n+1} = (2n/x) J_n -
+      J_{n-1}``, which is stable below the turning point ``n = x``;
+    * otherwise (``7 < x < 18``, or ``f + j >= x``): one Miller descent
+      per argument (``_bessel_j_miller``).
+
+    A rung's value depends on ``count`` only through the Miller start, and
+    not at all while ``count - 1 <= x``.  Above the turning point ``J``
+    is the recurrence's minimal solution, so the upward values there
+    carry an error that grows like ``Y_n``; they are replaced by Miller's
+    (with orders at most 256 and ``x >= 18``, that error stays below 1e250).
+    """
+    xs = np.asarray(xs, dtype=float)
+    if count < 1:
+        raise ValueError(f"ladder needs count >= 1, got {count!r}")
+    _validate_bessel(f, 0.0)
+    _validate_bessel(f + (count - 1), 0.0)
+    outside = ~((xs >= 0.0) & (xs <= _X_MAX))
+    if outside.any():
+        _validate_bessel(f, float(xs[outside][0]))
+    ladder = np.empty((count, xs.size))
+    orders = f + np.arange(count, dtype=float)
+    series = xs <= _J_SERIES_MAX_X
+    if series.any():
+        ladder[:, series] = _bessel_j_series(orders, xs[series])
+    hankel = xs >= _J_HANKEL_MIN_X
+    if hankel.any():
+        xh = xs[hankel]
+        upward = np.empty((count, xh.size))
+        upward[:2] = _bessel_j_hankel(f, xh)[:count]
+        for j in range(1, int(np.searchsorted(orders, xh.max())) - 1):
+            upward[j + 1] = (2.0 * (f + j) / xh) * upward[j] - upward[j - 1]
+        ladder[:, hankel] = upward
+    for i in np.flatnonzero(~series & ~(hankel & (orders[-1] < xs))).tolist():
+        x = float(xs[i])
+        low = int(np.searchsorted(orders, x)) if hankel[i] else 0
+        ladder[low:, i] = _bessel_j_miller(f, count, x)[low:]
+    return ladder
+
+
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind ``J_nu(x)``.
 
-    Alternating series up to ``x = 8``; Miller downward recurrence with a
-    series-identity normalizer beyond.
+    Rung ``floor(nu)`` of :func:`_bessel_j_ladder`'s ladder of the
+    fractional part of ``nu``: the ascending series up to ``x = 7``,
+    Hankel's expansion with the upward recurrence for ``x >= 18`` and
+    ``nu < x``, and a Miller descent everywhere else.
     """
     _validate_bessel(nu, x)
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x <= _J_SERIES_MAX_X:
-        return _bessel_j_series(nu, x)
     f = nu - math.floor(nu)
     m = int(round(nu - f))
-    return _bessel_j_miller(f, m + 1, x)[m]
+    return float(_bessel_j_ladder(f, m + 1, np.array([x]))[m, 0])

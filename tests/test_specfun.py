@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from bosegas import specfun
 from bosegas.specfun import (AccuracyBudget, DEFAULT_BUDGET,
-                             _bessel_i_scaled_ladder, _bessel_j_miller,
+                             _bessel_i_scaled_ladder, _bessel_j_ladder,
                              bessel_i,
                              bessel_i_scaled, bessel_j, gamma_upper, polylog,
                              zeta)
@@ -86,6 +87,24 @@ class TestPolylog:
                 + polylog(2.0, 1.0 - z, DEFAULT_BUDGET)
             rhs = math.pi ** 2 / 6.0 - math.log(z) * math.log1p(-z)
             assert rel(lhs, rhs) < 1e-13
+
+    def test_endpoint_expansion_reuses_zeta_values(self, monkeypatch):
+        # the zeta(s - k) of the expansion near z = 1 are memoised: a
+        # repeated call returns the same float without recomputing them
+        first = polylog(1.5, 0.97, DEFAULT_BUDGET)
+        calls = []
+        inner = specfun._zeta_euler_maclaurin
+
+        def counted(s, *args):
+            calls.append(s)
+            return inner(s, *args)
+
+        monkeypatch.setattr(specfun, "_zeta_euler_maclaurin", counted)
+        assert polylog(1.5, 0.97, DEFAULT_BUDGET) == first
+        assert calls == []
+        specfun._zeta_any.cache_clear()
+        assert polylog(1.5, 0.97, DEFAULT_BUDGET) == first
+        assert calls
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -286,18 +305,25 @@ class TestBesselJ:
 
 
 class TestBesselJLadder:
-    """``_bessel_j_miller``: every rung ``J_{f+j}`` from one recurrence."""
+    """``_bessel_j_ladder``: every rung ``J_{f+j}`` at every argument."""
 
-    # bessel_j at the commit before the ladder; it must keep these bits
+    # bessel_j at the commit before the Miller ladder; it must keep these
+    # bits.  The four marked values moved branch with the large-argument
+    # expansion and the lower series bound, each closer to 30-digit mpmath
+    # (old value, then mpmath, in the comment).
     PINNED = [
         ((0.0, 3.0), -0.26005195490193345),
         ((2.5, 5.0), 0.24037720111131738),
-        ((1.0 / 3.0, 7.9), 0.2711241071043309),
+        # series -> Miller: 0.2711241071043309, mpmath 0.27112410710433486
+        ((1.0 / 3.0, 7.9), 0.2711241071043351),
         ((0.0, 12.5), 0.14688405470042112),
-        ((3.0, 37.0), 0.12864266033408137),
+        # Miller -> Hankel: 0.12864266033408137, mpmath 0.12864266033408136
+        ((3.0, 37.0), 0.12864266033408142),
         ((2.5, 17.0), 0.1935107520862612),
-        ((4.0 / 3.0, 100.0), -0.07707829780857685),
-        ((1.0, 209.0), 0.042229681151013755),
+        # Miller -> Hankel: -0.07707829780857685, mpmath -0.07707829780857900
+        ((4.0 / 3.0, 100.0), -0.07707829780857901),
+        # Miller -> Hankel: 0.042229681151013755, mpmath 0.042229681151013676
+        ((1.0, 209.0), 0.04222968115101367),
         ((40.0, 20.0), 9.902389413744689e-10),
     ]
 
@@ -306,23 +332,69 @@ class TestBesselJLadder:
         assert bessel_j(*args) == value
 
     @pytest.mark.parametrize("f", [0.0, 0.5, 1.0 / 3.0])
-    @pytest.mark.parametrize("x", [8.01, 12.5, 37.3, 209.0, 1000.0])
+    @pytest.mark.parametrize("x", [3.0, 8.01, 12.5, 20.0, 37.3, 209.0,
+                                   1000.0])
     def test_rungs_are_bessel_j_bitwise(self, f, x):
-        # with count - 1 <= x the descent starts where bessel_j's does;
-        # bessel_j(nu) reads the ladder of nu's own fractional part, which
-        # for f = 1/3 differs from f in the last bit once j >= 1
+        # with count - 1 <= x a rung does not depend on count, nor on the
+        # other arguments of its table (here one per branch); bessel_j(nu)
+        # reads the ladder of nu's own fractional part, which for f = 1/3
+        # differs from f in the last bit once j >= 1
         count = min(int(x) + 1, 40)
+        xs = np.array([0.5, x, 15.0, 300.0])
         for j in range(count):
             nu = f + j
-            ladder = _bessel_j_miller(nu - math.floor(nu), count, x)
-            assert ladder[j] == bessel_j(nu, x)
+            ladder = _bessel_j_ladder(nu - math.floor(nu), count, xs)
+            assert ladder[j, 1] == bessel_j(nu, x)
 
     @pytest.mark.parametrize("f", [0.0, 0.5])
     @pytest.mark.parametrize("z", [8.5, 12.5, 37.0, 50.0])
     def test_long_ladder_matches_per_order(self, f, z):
         # the sum-rule list: orders 0..z + 40, so the descent starts higher
         count = int(z) + 41
-        ladder = _bessel_j_miller(f, count, z)
-        assert len(ladder) == count
-        for j, value in enumerate(ladder):
+        ladder = _bessel_j_ladder(f, count, np.array([z]))
+        assert ladder.shape == (count, 1)
+        for j, value in enumerate(ladder[:, 0].tolist()):
             assert abs(value - bessel_j(f + j, z)) <= 1e-14
+
+    def test_against_mpmath(self):
+        # Absolute error over the whole domain: x log-spaced from 1e-3 to
+        # 1e4 plus the branch ends, nu = f + j up to 256.  Before the
+        # large-argument branch the Miller start sat inside the turning
+        # point's Airy layer there: 1.5e-12 at x = 500, 1.2e-5 at 1e4.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        xs = sorted(set(np.logspace(-3.0, 4.0, 15).tolist()
+                        + [7.0, 7.01, 8.0, 19.99, 20.0, 37.0, 100.0, 256.0,
+                           500.0, 1e3, 3e3, 1e4]))
+        rungs = (0, 1, 2, 3, 7, 20, 40, 99, 100, 160, 255)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for f in (0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75):
+                for j in rungs:
+                    for x in xs:
+                        ref = mp.besselj(mp.mpf(f) + j, x)
+                        worst = max(worst, float(abs(bessel_j(f + j, x)
+                                                     - ref)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 2.0, 255.5])
+    def test_tiny_arguments(self, nu):
+        # (x/2)^nu / Gamma(nu + 1) underflows to 0 for large orders; the
+        # series stops there instead of stalling
+        for x in (0.0, 1e-300, 1e-30):
+            expected = (0.5 * x) ** nu / math.gamma(nu + 1.0) \
+                if nu < 100 else 0.0
+            assert bessel_j(nu, x) == pytest.approx(expected, rel=1e-13,
+                                                    abs=1e-300)
+
+    @pytest.mark.parametrize("f,count,x", [
+        (-0.25, 4, 1.0),         # order below 0
+        (0.5, 257, 1.0),         # top order 256.5 above the cap
+        (0.0, 0, 1.0),           # empty ladder
+        (0.0, 4, -1.0),          # argument below 0
+        (0.0, 4, 2e4),           # argument above the cap
+        (0.0, 4, math.nan),
+    ])
+    def test_domain(self, f, count, x):
+        with pytest.raises(ValueError):
+            _bessel_j_ladder(f, count, np.array([1.0, x]))

@@ -504,6 +504,58 @@ class TestGridWork:
 class TestReportProperties:
     """Properties of every fixed-mu report, over drawn inputs."""
 
+    def test_charge_density_increases_with_mu(self):
+        # strictly increasing in |mu| on (0, m), odd in mu
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=20, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(st.floats(-2.0, 2.0), st.floats(-1.5, 3.0),
+                          st.booleans(),
+                          st.lists(st.floats(1e-3, 0.999), min_size=2,
+                                   max_size=4, unique=True))
+        def check(log_mass, log_temp, negative, fractions):
+            fractions = sorted(fractions)
+            hypothesis.assume(all(b - a >= 1e-3 for a, b in
+                                  zip(fractions, fractions[1:])))
+            mass = 10.0 ** log_mass
+            sign = -1.0 if negative else 1.0
+            densities = [charge_density_rel(
+                ThermalPoint(mass * 10.0 ** log_temp, sign * f * mass), mass)
+                for f in fractions]
+            sizes = [sign * d for d in densities]
+            assert 0.0 < sizes[0]
+            assert all(a < b for a, b in zip(sizes, sizes[1:]))
+
+        check()
+
+    def test_boundary_part_increases_with_temperature(self):
+        # at fixed mu every occupation grows with T, and so does the
+        # boundary thermal part
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=20, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(st.sampled_from([1, 2, 3]), st.floats(-2.0, 2.0),
+                          st.floats(0.0, 0.99),
+                          st.lists(st.floats(-1.5, 3.0), min_size=2,
+                                   max_size=4, unique=True))
+        def check(dim, log_mass, fraction, log_temps):
+            log_temps = sorted(log_temps)
+            hypothesis.assume(all(b - a >= 1e-3 for a, b in
+                                  zip(log_temps, log_temps[1:])))
+            mass = 10.0 ** log_mass
+            params = charged(mass, dim, 1e4 * mass)
+            parts = [mutual_info_charged(params, GEO, ThermalPoint(
+                mass * 10.0 ** u, fraction * mass)).boundary_thermal_part
+                for u in log_temps]
+            assert 0.0 < parts[0]
+            assert all(a < b for a, b in zip(parts, parts[1:]))
+
+        check()
+
     def test_fixed_mu_reports(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
