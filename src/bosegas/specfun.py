@@ -366,6 +366,20 @@ def _validate_bessel(nu: float, x: float) -> None:
         raise ValueError(f"Bessel argument must lie in [0, {_X_MAX}], got {x!r}")
 
 
+def _validate_ladder(f: float, count: int, xs) -> np.ndarray:
+    """``xs`` as a float array, once orders ``f .. f + count - 1`` and every
+    argument are checked against the Bessel domain."""
+    xs = np.asarray(xs, dtype=float)
+    if count < 1:
+        raise ValueError(f"ladder needs count >= 1, got {count!r}")
+    _validate_bessel(f, 0.0)
+    _validate_bessel(f + (count - 1), 0.0)
+    outside = ~((xs >= 0.0) & (xs <= _X_MAX))
+    if outside.any():
+        _validate_bessel(f, float(xs[outside][0]))
+    return xs
+
+
 def _bessel_i_scaled_pivot(nu: float, x: float) -> float:
     """e^{-x} I_nu(x) summed relative to the largest series term.
 
@@ -428,14 +442,7 @@ def _bessel_i_scaled_ladder(f: float, count: int,
     is the previous one times its ratio.  Ratios lie in [0, 1), so
     nothing overflows and tiny arguments underflow to 0.
     """
-    xs = np.asarray(xs, dtype=float)
-    if count < 1:
-        raise ValueError(f"ladder needs count >= 1, got {count!r}")
-    _validate_bessel(f, 0.0)
-    _validate_bessel(f + (count - 1), 0.0)
-    outside = ~((xs >= 0.0) & (xs <= _X_MAX))
-    if outside.any():
-        _validate_bessel(f, float(xs[outside][0]))
+    xs = _validate_ladder(f, count, xs)
     ladder = np.empty((count, xs.size))
     ladder[0] = [bessel_i_scaled(f, x) for x in xs.tolist()]
     if count > 1 and xs.size:
@@ -616,14 +623,7 @@ def _bessel_j_ladder(f: float, count: int, xs: np.ndarray) -> np.ndarray:
     carry an error that grows like ``Y_n``; they are replaced by Miller's
     (with orders at most 256 and ``x >= 18``, that error stays below 1e250).
     """
-    xs = np.asarray(xs, dtype=float)
-    if count < 1:
-        raise ValueError(f"ladder needs count >= 1, got {count!r}")
-    _validate_bessel(f, 0.0)
-    _validate_bessel(f + (count - 1), 0.0)
-    outside = ~((xs >= 0.0) & (xs <= _X_MAX))
-    if outside.any():
-        _validate_bessel(f, float(xs[outside][0]))
+    xs = _validate_ladder(f, count, xs)
     ladder = np.empty((count, xs.size))
     orders = f + np.arange(count, dtype=float)
     series = xs <= _J_SERIES_MAX_X

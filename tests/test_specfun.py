@@ -346,6 +346,29 @@ class TestBesselJLadder:
             ladder = _bessel_j_ladder(nu - math.floor(nu), count, xs)
             assert ladder[j, 1] == bessel_j(nu, x)
 
+    @staticmethod
+    def _scalar_series(nu, x):
+        # the per-order loop the array series replaced, kept as reference
+        q = 0.5 * x
+        term = math.exp(nu * math.log(q) - math.lgamma(nu + 1.0))
+        terms = [term]
+        peak = abs(term)
+        for k in range(400):
+            term *= -(q * q) / ((k + 1.0) * (k + 1.0 + nu))
+            terms.append(term)
+            peak = max(peak, abs(term))
+            if abs(term) < 1e-18 * peak:
+                return math.fsum(terms)
+        raise AssertionError("reference series stalled")
+
+    @pytest.mark.parametrize("f", [0.0, 0.25, 1.0 / 3.0, 0.5])
+    def test_series_keeps_the_scalar_loops_bits(self, f):
+        xs = np.concatenate([np.logspace(-3.0, math.log10(7.0), 25), [7.0]])
+        ladder = _bessel_j_ladder(f, 60, xs)
+        for j in range(60):
+            for i, x in enumerate(xs.tolist()):
+                assert ladder[j, i] == self._scalar_series(f + j, x)
+
     @pytest.mark.parametrize("f", [0.0, 0.5])
     @pytest.mark.parametrize("z", [8.5, 12.5, 37.0, 50.0])
     def test_long_ladder_matches_per_order(self, f, z):
@@ -358,14 +381,15 @@ class TestBesselJLadder:
 
     def test_against_mpmath(self):
         # Absolute error over the whole domain: x log-spaced from 1e-3 to
-        # 1e4 plus the branch ends, nu = f + j up to 256.  Before the
-        # large-argument branch the Miller start sat inside the turning
-        # point's Airy layer there: 1.5e-12 at x = 500, 1.2e-5 at 1e4.
+        # 1e4 plus the branch ends, nu = f + j up to 256.  From x ~ 500 a
+        # Miller start at x + 64 sits inside the turning point's Airy
+        # layer (1.2e-5 off at x = 1e4); the large-argument branch covers
+        # those points.
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp
         xs = sorted(set(np.logspace(-3.0, 4.0, 15).tolist()
-                        + [7.0, 7.01, 8.0, 19.99, 20.0, 37.0, 100.0, 256.0,
-                           500.0, 1e3, 3e3, 1e4]))
+                        + [7.0, 7.01, 8.0, 17.99, 18.0, 20.0, 37.0, 100.0,
+                           256.0, 500.0, 1e3, 3e3, 1e4]))
         rungs = (0, 1, 2, 3, 7, 20, 40, 99, 100, 160, 255)
         worst = 0.0
         with mpmath.workdps(30):
