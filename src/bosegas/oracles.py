@@ -51,8 +51,8 @@ import numpy as np
 from .condensate import (ChargeSpec, Regime, _stencil_discontinuity,
                          discontinuity_estimate)
 from .quadrature import _integrate_radial_rows, sum_bilateral
-from .specfun import (_NU_MAX, AccuracyBudget, _bessel_i_scaled_ladder,
-                      _bessel_j_ladder, bessel_i_scaled)
+from .specfun import (_LATTICE_TOL, _NU_MAX, AccuracyBudget,
+                      _bessel_i_scaled_ladder, _bessel_j_ladder)
 from .thermo import FieldKind, Geometry, ModelParams
 
 __all__ = [
@@ -131,34 +131,32 @@ def _order_table(nus: Sequence[float], ladder: Callable
     """``values(xs, rows)``: order ``nus[rows]`` at ``xs``, elementwise.
 
     Reads one table, local to this call, of every order at every argument
-    seen so far; each round tabulates only the new arguments.  Orders
-    whose difference is an integer share one ``ladder(f, count, xs)``
-    (rungs ``f, f+1, ...`` as a (count, len(xs)) array), so an argument
-    costs one ladder per fractional part: ``n`` for integer ``n``.
+    seen so far; each round tabulates only the new arguments.  Orders are
+    grouped by their fractional part in [0, 1), snapped to a grid of
+    ``_LATTICE_TOL``: a group is one ladder of rungs ``f, f+1, ...`` up to
+    its highest order, and one ``ladder(f, count, xs)`` call (``f`` and
+    ``count`` per argument, rungs as a (max count, len(xs)) array)
+    tabulates every group of a round.
     """
-    groups: list[tuple[float, list[int], list[int]]] = []  # f, members, rungs
-    for i, nu in enumerate(nus):
-        for f, members, rungs in groups:
-            rung = round(nu - f)
-            if abs(nu - f - rung) < 1e-9:    # same fractional part
-                members.append(i)
-                rungs.append(rung)
-                break
-        else:
-            groups.append((nu, [i], [0]))
+    rung = np.floor(np.add(nus, _LATTICE_TOL)).astype(int)
+    frac = np.maximum(np.subtract(nus, rung), 0.0)
+    _, first, group = np.unique(np.round(frac / _LATTICE_TOL),
+                                return_index=True, return_inverse=True)
+    counts = [rung[group == g].max() + 1 for g in range(len(first))]
     table: dict[float, np.ndarray] = {}     # argument -> every order
 
     def values(xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        args = xs.ravel().tolist()
-        new = [x for x in dict.fromkeys(args) if x not in table]
+        seen, where = np.unique(xs, return_inverse=True)
+        new = [x for x in seen.tolist() if x not in table]
         if new:
-            block = np.empty((len(nus), len(new)))
-            for f, members, rungs in groups:
-                block[members] = ladder(f, rungs[-1] + 1, np.array(new))[rungs]
-            table.update(zip(new, block.T.copy()))
-        orders = np.broadcast_to(rows, xs.shape).ravel().tolist()
-        return np.reshape([table[x][m] for x, m in zip(args, orders)],
-                          xs.shape)
+            block = ladder(np.repeat(frac[first], len(new)),
+                           np.repeat(counts, len(new)),
+                           np.tile(new, len(first)))
+            block = block.reshape(len(block), len(first), len(new))
+            table.update(zip(new, block[rung, group].T))
+        block = np.reshape([table[x] for x in seen.tolist()],
+                           (len(seen), len(nus)))
+        return block[where.reshape(xs.shape), rows]
 
     return values
 
@@ -423,28 +421,27 @@ def check_bessel_identities(z: float, n: float, a_r: float) -> OracleReport:
     unity = js[0] ** 2 + 2.0 * math.fsum(j * j for j in js[1:])
     err_unity = abs(unity - 1.0)
 
-    # (ii) Weber integrals, one row per order.
+    # (ii) The order sum, normalized so the full-order value is 1, up to the
+    # first nu > sqrt(2x) with a term below 1e-18 of it (or nu > 255): one I
+    # table at x of the orders m/n up to 16 + 9 sqrt(x), else to the cap.
     x = 0.5 * a_r * a_r
-    nus = [m / n for m in range(4)]
-    weber_errors = []
-    for nu, quad in zip(nus, _weber_quads(nus, a_r)):
-        closed = 0.5 * bessel_i_scaled(nu, x)
-        weber_errors.append(abs(quad - closed) / max(closed, 1e-300))
-    err_weber = max(weber_errors)
-
-    # Order-sum saturation (normalized so the full-order value is 1).
-    plateau = bessel_i_scaled(0.0, x)
-    m = 1
-    while True:
-        nu = m / n
-        term = bessel_i_scaled(nu, x)
-        plateau += 2.0 * term
-        if nu * nu > 2.0 * x and term < 1e-18 * plateau:
+    for top in (min(16.0 + 9.0 * math.sqrt(x), _NU_MAX), _NU_MAX):
+        nus = np.arange(int(top * n) + 1) / n
+        scaled = _order_table(nus, _bessel_i_scaled_ladder)(
+            np.full(nus.size, x), np.arange(nus.size))
+        running = np.cumsum(np.concatenate([scaled[:1], 2.0 * scaled[1:]]))
+        stop = (nus * nus > 2 * x) & (scaled < 1e-18 * running) | (nus > 255)
+        stop[0] = False
+        if stop.any():
             break
-        if nu > 255.0:
-            break
-        m += 1
+    plateau = float(running[np.argmax(stop)])
     err_plateau = abs(plateau - 1.0)
+
+    # Weber integrals, one row per order, against their closed forms.
+    quads = _weber_quads(nus[:4].tolist(), a_r)
+    weber_errors = [abs(quad - 0.5 * closed) / max(0.5 * closed, 1e-300)
+                    for quad, closed in zip(quads, scaled.tolist())]
+    err_weber = max(weber_errors)
 
     parameters = {
         "z": z,

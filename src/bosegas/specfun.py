@@ -1,7 +1,7 @@
-r"""Scalar special functions needed by the thermal field integrals.
+r"""Special functions needed by the thermal field integrals.
 
-Everything here is pure, deterministic float arithmetic, on stdlib floats
-except for one private helper that fills a numpy array:
+Everything here is pure, deterministic float arithmetic; the Bessel
+tables fill numpy arrays:
 
 * ``polylog(s, z)``  for :math:`z \in [0, 1]`, via the defining power series
   away from the endpoint and the Robinson (Hurwitz-series) expansion in
@@ -12,23 +12,16 @@ except for one private helper that fills a numpy array:
   lattices, and by Lentz continued fraction or lower-series complement for
   generic ``a``.  This is the regulator shape used for ultraviolet-cut
   vacuum pieces, so small ``x`` must be exact.
-* ``bessel_i`` / ``bessel_i_scaled`` (modified, first kind) by positive-term
-  series pivoted at the largest term, usable to ``x = 1e4`` in scaled form.
-  The private ``_bessel_i_scaled_ladder`` gives a whole ladder of orders
-  ``f, f+1, ...`` at many arguments from one such series per argument and
-  one downward ratio recurrence.
-* ``bessel_j`` (first kind), as one rung of the private
-  ``_bessel_j_ladder``, which gives ``J_{f+j}`` for every ``j < count`` at
-  every argument of a table, with one of three branches per argument and
-  order: for ``x <= 7`` the ascending series of all orders and arguments
-  at once; for ``x >= 18`` and orders below ``x`` Hankel's large-argument
-  expansion (DLMF 10.17(i)) for ``J_f`` and ``J_{f+1}``, then the upward
-  recurrence, which is stable below the turning point ``nu = x``; and
-  otherwise one Miller downward recurrence per argument with a
-  series-identity normalizer, started 64 orders above ``max(x, count-1)``
-  (clear of the turning point's Airy layer, since Miller now runs only
-  where ``x < 18`` or ``x <= nu <= 256``).  Every branch is within 1e-14
-  (absolute) of 30-digit references for ``x <= 1e4``, ``nu <= 256``.
+* ``bessel_i`` / ``bessel_i_scaled`` (modified, first kind) and
+  ``bessel_j`` (first kind), each one rung of a private table of the
+  orders ``f, f+1, ...`` at every argument, ``f`` and the number of
+  orders given per argument (``_bessel_i_scaled_ladder``,
+  ``_bessel_j_ladder``).  I: one array kernel at order ``f`` (the
+  ascending series below ``x = 20``, Hankel's expansion from there) and
+  one downward ratio recurrence, within 1e-13 (relative) of 30-digit
+  references; J: the ascending series, Hankel's expansion with the upward
+  recurrence, or a Miller descent, by argument and order, within 1e-14
+  (absolute); both for ``x <= 1e4``, ``nu <= 256``.
 
 All iteration caps raise :class:`~bosegas.errors.ConvergenceError` rather
 than silently returning a stale partial sum.
@@ -75,6 +68,7 @@ _LATTICE_TOL = 1e-12      # snap tolerance for integer / half-integer orders
 _NU_MAX = 256.0           # Bessel order cap
 _X_MAX = 1.0e4            # Bessel argument cap
 _EXP_OVERFLOW = 709.0     # exp() overflows just above this
+_I_HANKEL_MIN_X = 20.0    # Hankel's e^{-2x} companion is below 4e-18 here
 
 
 @dataclass(frozen=True)
@@ -366,112 +360,125 @@ def _validate_bessel(nu: float, x: float) -> None:
         raise ValueError(f"Bessel argument must lie in [0, {_X_MAX}], got {x!r}")
 
 
-def _validate_ladder(f: float, count: int, xs) -> np.ndarray:
-    """``xs`` as a float array, once orders ``f .. f + count - 1`` and every
-    argument are checked against the Bessel domain."""
+def _validate_ladder(f, count, xs):
+    """``f``, ``count``, ``xs`` as arrays shaped like ``xs``, once every ``f``
+    is in [0, 1), every count >= 1 and all orders and arguments in range."""
     xs = np.asarray(xs, dtype=float)
-    if count < 1:
-        raise ValueError(f"ladder needs count >= 1, got {count!r}")
-    _validate_bessel(f, 0.0)
-    _validate_bessel(f + (count - 1), 0.0)
-    outside = ~((xs >= 0.0) & (xs <= _X_MAX))
-    if outside.any():
-        _validate_bessel(f, float(xs[outside][0]))
-    return xs
+    fs, counts = np.full(xs.shape, f, dtype=float), np.full(xs.shape, count)
+    if not ((fs >= 0.0) & (fs < 1.0) & (counts >= 1)
+            & (fs + (counts - 1) <= _NU_MAX)).all():
+        raise ValueError(f"a ladder needs f in [0, 1), count >= 1 and f + "
+                         f"count - 1 <= {_NU_MAX}, got {f!r} and {count!r}")
+    if not (xs.min(initial=0.0) >= 0.0 and xs.max(initial=0.0) <= _X_MAX):
+        _validate_bessel(0.0, float(xs[~((xs >= 0.0) & (xs <= _X_MAX))][0]))
+    return fs, counts, xs
 
 
-def _bessel_i_scaled_pivot(nu: float, x: float) -> float:
-    """e^{-x} I_nu(x) summed relative to the largest series term.
-
-    The series sum_k (x/2)^{nu+2k} / (k! Gamma(nu+k+1)) has all-positive
-    terms peaking at k* ~ (sqrt((nu+1)^2 + x^2) - (nu+1)) / 2; summing
-    relative to that term keeps every intermediate in range up to x = 1e4.
-    """
-    q = 0.5 * x
-    kpeak = int(max(0.0, round(0.5 * (math.sqrt((nu + 1.0) ** 2 + x * x)
-                                      - (nu + 1.0)))))
-    # Upward from the peak.
-    rel = 1.0
-    up = 0.0
-    k = kpeak
-    for _ in range(_MAX_SERIES_TERMS):
-        ratio = q * q / ((k + 1.0) * (k + 1.0 + nu))
-        rel *= ratio
-        if rel < 1e-18:
-            break
-        up += rel
-        k += 1
-    else:
-        raise ConvergenceError("I_nu series (upward) stalled")
-    # Downward from the peak.
-    rel = 1.0
-    down = 0.0
-    k = kpeak
-    while k > 0:
-        rel *= (k * (k + nu)) / (q * q)
-        if rel < 1e-18:
-            break
-        down += rel
-        k -= 1
-    log_peak = ((nu + 2.0 * kpeak) * math.log(q) - math.lgamma(kpeak + 1.0)
-                - math.lgamma(nu + kpeak + 1.0)) if q > 0.0 else 0.0
-    return math.exp(log_peak - x) * (1.0 + up + down)
-
-
-def bessel_i_scaled(nu: float, x: float) -> float:
-    """Exponentially scaled modified Bessel function ``e^{-x} I_nu(x)``.
-
-    Stable for the whole supported range ``nu in [0, 256]``, ``x in [0, 1e4]``.
-    """
+def _ladder_rung(ladder, nu: float, x: float) -> float:
+    """Rung ``floor(nu)`` of the ``ladder`` of ``nu``'s fraction, at ``x``."""
     _validate_bessel(nu, x)
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    return _bessel_i_scaled_pivot(nu, x)
+    m = math.floor(nu)
+    return float(ladder(nu - m, m + 1, np.array([x]))[m, 0])
 
 
-def _bessel_i_scaled_ladder(f: float, count: int,
-                            xs: np.ndarray) -> np.ndarray:
-    """``e^{-x} I_{f+j}(x)`` for ``j < count``, as a (count, len(xs)) array.
+def _hankel_terms(mu: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Terms ``a_k(nu) / x^k``, ``k <= 48``, of Hankel's expansions (DLMF
+    10.17(i), 10.40(i)), ``mu = 4 nu^2``, on a new first axis: kept while
+    they shrink (until ``k ~ 2x``) and up to the first below 1e-18, by
+    ``k = 41`` for ``nu < 2``, ``x >= 18``; the rest are zero."""
+    k = np.arange(1.0, 49.0).reshape((-1,) + (1,) * np.ndim(mu))
+    ratios = (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * xs)
+    terms = np.cumprod(np.concatenate([np.ones((1,) + ratios.shape[1:]),
+                                       ratios]), axis=0)
+    size = np.abs(terms)
+    kept = np.logical_and.accumulate(
+        (size[1:] < size[:-1]) & (size[:-1] > 1e-18), axis=0)
+    if kept[-1].any():
+        raise ConvergenceError("Hankel expansion stalled")
+    terms[1:][~kept] = 0.0
+    return terms
 
-    Row 0 is the pivot series at order ``f``, one per argument.  The
-    ratios ``R_j = I_{f+j} / I_{f+j-1}`` follow from the three-term
-    recurrence run downward as a continued fraction, ``R_j = x / (2 (f+j)
-    + x R_{j+1})``, started at ``R = 0`` far enough above the top order
-    for it to converge; ``I`` is the recurrence's minimal solution, so the
-    downward sweep is stable (Gautschi, SIAM Rev. 9 (1967) 24).  Each row
-    is the previous one times its ratio.  Ratios lie in [0, 1), so
-    nothing overflows and tiny arguments underflow to 0.
+
+def _bessel_i_scaled_kernel(fs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``e^{-x} I_f(x)`` at every argument, ``0 <= f < 1`` per argument.
+
+    Below ``x = 20``: ``e^{-x}`` times the ascending series ``sum_k
+    (x/2)^{f+2k} / (k! Gamma(f+k+1))``, 49 terms from one ``cumprod``.
+    From ``x = 20``: Hankel's expansion ``(2 pi x)^{-1/2} sum_k (-1)^k
+    a_k(f) / x^k`` (DLMF 10.40.1), whose ``e^{-2x}`` companion is below
+    4e-18 there.  No exponent of size ``x`` carries a rounding error.
     """
-    xs = _validate_ladder(f, count, xs)
-    ladder = np.empty((count, xs.size))
-    ladder[0] = [bessel_i_scaled(f, x) for x in xs.tolist()]
-    if count > 1 and xs.size:
+    out = np.empty(xs.shape)
+    series = xs < _I_HANKEL_MIN_X
+    if series.any():
+        x, f = xs[series], fs[series]
+        distinct, which = np.unique(f, return_inverse=True)
+        gamma = np.array([math.gamma(1.0 + v) for v in distinct.tolist()])
+        k = np.arange(1.0, 49.0)[:, None]
+        terms = np.cumprod(np.concatenate([[(0.5 * x) ** f / gamma[which]],
+                                           0.25 * x * x / (k * (k + f))]),
+                           axis=0)
+        out[series] = np.exp(-x) * np.cumsum(terms[::-1], axis=0)[-1]
+    if not series.all():
+        x = xs[~series]
+        terms = _hankel_terms(4.0 * fs[~series] ** 2, x)
+        terms[1::2] *= -1.0
+        out[~series] = (np.cumsum(terms[::-1], axis=0)[-1]
+                        / np.sqrt(2.0 * math.pi * x))
+    return out
+
+
+def _bessel_i_scaled_ladder(f, count, xs) -> np.ndarray:
+    """``e^{-x} I_{f+j}(x)`` for ``j < count``, as a (max count, len(xs))
+    array; ``f`` in [0, 1) and ``count`` are one value or one per argument,
+    and an argument's rows from its own count up are 0.
+
+    Row 0 is ``_bessel_i_scaled_kernel``; each further row is the previous
+    one times ``R_j = I_{f+j} / I_{f+j-1} = x / (2 (f+j) + x R_{j+1})``,
+    a continued fraction run downward from ``R = 0`` on each argument's
+    own rung ``count + 20 + 9 sqrt(x)``.  ``I`` is the recurrence's minimal
+    solution, so that is stable (Gautschi, SIAM Rev. 9 (1967) 24), and an
+    argument's rows depend on its own ``f``, ``count`` and ``x`` only.
+    Ratios lie in [0, 1): nothing overflows, tiny arguments give 0.
+    """
+    fs, counts, xs = _validate_ladder(f, count, xs)
+    rows = int(np.max(count))
+    ladder = np.zeros((rows, xs.size))
+    ladder[0] = _bessel_i_scaled_kernel(fs, xs)
+    if rows > 1 and xs.size:
+        tops = counts + 20 + (9.0 * np.sqrt(xs)).astype(int)
+        by_top = np.argsort(tops)
+        tops, x, two_f = tops[by_top], xs[by_top], 2.0 * fs[by_top]
+        started = np.searchsorted(tops, np.arange(tops[-1] + 1)).tolist()
+        ratios = np.zeros((rows, xs.size))
         ratio = np.zeros(xs.size)
-        top = count + 20 + int(9.0 * math.sqrt(float(xs.max())))
-        for j in range(top, 0, -1):
-            ratio = xs / (2.0 * (f + j) + xs * ratio)
-            if j < count:
-                ladder[j] = ratio
+        s = None
+        for j in range(len(started) - 1, 0, -1):
+            if started[j] != s:
+                s = started[j]
+                r, xr, tf = ratio[s:], x[s:], two_f[s:]
+            r *= xr                                # in place: x R_{j+1}
+            r += tf + 2.0 * j
+            np.divide(xr, r, out=r)
+            if j < rows:
+                ratios[j] = ratio
+        ladder[1:, by_top] = ratios[1:]
+        ladder[np.arange(rows)[:, None] >= counts] = 0.0
         np.cumprod(ladder, axis=0, out=ladder)
     return ladder
 
 
-def _bessel_i_small(nu: float, x: float) -> float:
-    """Plain ascending series for I_nu, positive terms, for x <= 50."""
-    q = 0.5 * x
-    term = math.exp(nu * math.log(q) - math.lgamma(nu + 1.0)) if q > 0 else \
-        (1.0 if nu == 0.0 else 0.0)
-    total = term
-    for k in range(0, _MAX_SERIES_TERMS):
-        term *= q * q / ((k + 1.0) * (k + 1.0 + nu))
-        total += term
-        if term < 1e-17 * total:
-            return total
-    raise ConvergenceError("I_nu ascending series stalled")
+def bessel_i_scaled(nu: float, x: float) -> float:
+    """Exponentially scaled modified Bessel function ``e^{-x} I_nu(x)``,
+    for ``nu in [0, 256]``, ``x in [0, 1e4]``: rung ``floor(nu)`` of
+    :func:`_bessel_i_scaled_ladder`'s ladder of the fractional part of
+    ``nu``."""
+    return _ladder_rung(_bessel_i_scaled_ladder, nu, x)
 
 
 def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind ``I_nu(x)``.
+    """Modified Bessel function of the first kind ``I_nu(x)``: ``e^x``
+    times :func:`bessel_i_scaled`.
 
     Raises
     ------
@@ -479,15 +486,11 @@ def bessel_i(nu: float, x: float) -> float:
         When the unscaled value exceeds double range (x above ~709);
         use :func:`bessel_i_scaled` there.
     """
-    _validate_bessel(nu, x)
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x <= 50.0:
-        return _bessel_i_small(nu, x)
+    scaled = bessel_i_scaled(nu, x)
     if x > _EXP_OVERFLOW:
         raise OverflowError(
             f"I_nu({x}) overflows a double; call bessel_i_scaled instead")
-    return math.exp(x) * _bessel_i_scaled_pivot(nu, x)
+    return math.exp(x) * scaled
 
 
 # ----------------------------------------------------------------------
@@ -532,24 +535,12 @@ def _bessel_j_hankel(f: float, xs: np.ndarray) -> np.ndarray:
 
     ``J = sqrt(2/(pi x)) (P cos w - Q sin w)`` with ``w = x - phi``,
     ``phi = (nu/2 + 1/4) pi``.  ``P`` and ``Q`` share the terms
-    ``a_k(nu) / x^k``, kept while they shrink and up to the first below
-    1e-18; they grow again from ``k ~ 2x``, so for ``x >= 18`` that stops
-    by ``k = 41``, inside the 48 terms built.
+    ``a_k(nu) / x^k`` of ``_hankel_terms``.
     ``cos w`` and ``sin w`` are expanded in ``cos x`` and ``sin x`` of the
     exact argument, so the phase keeps full precision up to ``x = 1e4``.
     """
     nus = np.array([[f], [f + 1.0]])
-    mu = 4.0 * nus * nus
-    k = np.arange(1.0, 49.0)[:, None, None]
-    ratios = (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * xs)
-    terms = np.cumprod(np.concatenate([np.ones((1, 2, xs.size)), ratios]),
-                       axis=0)
-    size = np.abs(terms)
-    kept = np.logical_and.accumulate(
-        (size[1:] < size[:-1]) & (size[:-1] > 1e-18), axis=0)
-    if kept[-1].any():
-        raise ConvergenceError("Hankel expansion of J_nu stalled")
-    terms[1:][~kept] = 0.0
+    terms = _hankel_terms(4.0 * nus * nus, xs)
     terms[2::4] *= -1.0                       # (-1)^k a_2k for P
     terms[3::4] *= -1.0                       # (-1)^k a_2k+1 for Q
     p = np.cumsum(terms[0::2], axis=0)[-1]
@@ -566,9 +557,11 @@ def _bessel_j_miller(f: float, count: int, x: float) -> list[float]:
     """``J_{f+j}(x)`` for every ``j < count``, ``0 <= f < 1``, from one
     Miller downward recurrence normalized by a series identity.
 
-    One descent from ``n_top = int(max(x, count - 1)) + 64`` passes every
-    rung below its start, so it yields them all (Gautschi, SIAM Rev. 9
-    (1967) 24); each kept rung is rescaled with the running values.
+    One descent from ``n_top = int(max(x, count - 1)) + 64`` (clear of the
+    turning point's Airy layer where ``x < 18`` or ``x <= nu <= 256``, the
+    only places it runs) passes every rung below its start, so it yields
+    them all (Gautschi, SIAM Rev. 9 (1967) 24); each kept rung is rescaled
+    with the running values.
     Integer order uses ``J_0 + 2 sum_k J_{2k} = 1``; fractional order
     ``(x/2)^f = sum_k (f+2k) Gamma(f+k)/k! J_{f+2k}``.
     """
@@ -605,7 +598,7 @@ def _bessel_j_miller(f: float, count: int, x: float) -> list[float]:
     return [y * scale / norm for y in kept]
 
 
-def _bessel_j_ladder(f: float, count: int, xs: np.ndarray) -> np.ndarray:
+def _bessel_j_rungs(f: float, count: int, xs: np.ndarray) -> np.ndarray:
     """``J_{f+j}(x)`` for ``j < count``, ``0 <= f < 1``, as a
     (count, len(xs)) array, with one branch per argument and order:
 
@@ -623,7 +616,6 @@ def _bessel_j_ladder(f: float, count: int, xs: np.ndarray) -> np.ndarray:
     carry an error that grows like ``Y_n``; they are replaced by Miller's
     (with orders at most 256 and ``x >= 18``, that error stays below 1e250).
     """
-    xs = _validate_ladder(f, count, xs)
     ladder = np.empty((count, xs.size))
     orders = f + np.arange(count, dtype=float)
     series = xs <= _J_SERIES_MAX_X
@@ -644,6 +636,20 @@ def _bessel_j_ladder(f: float, count: int, xs: np.ndarray) -> np.ndarray:
     return ladder
 
 
+def _bessel_j_ladder(f, count, xs) -> np.ndarray:
+    """``J_{f+j}(x)`` on the contract of ``_bessel_i_scaled_ladder``: one
+    ``_bessel_j_rungs`` table per run of arguments that share ``f`` and
+    ``count``."""
+    fs, counts, xs = _validate_ladder(f, count, xs)
+    ladder = np.zeros((int(np.max(count)), xs.size))
+    cuts = (np.flatnonzero((fs[1:] != fs[:-1]) | (counts[1:] != counts[:-1]))
+            + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [xs.size]) if xs.size else ():
+        c = counts[lo].item()
+        ladder[:c, lo:hi] = _bessel_j_rungs(fs[lo].item(), c, xs[lo:hi])
+    return ladder
+
+
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind ``J_nu(x)``.
 
@@ -652,7 +658,4 @@ def bessel_j(nu: float, x: float) -> float:
     Hankel's expansion with the upward recurrence for ``x >= 18`` and
     ``nu < x``, and a Miller descent everywhere else.
     """
-    _validate_bessel(nu, x)
-    f = nu - math.floor(nu)
-    m = int(round(nu - f))
-    return float(_bessel_j_ladder(f, m + 1, np.array([x]))[m, 0])
+    return _ladder_rung(_bessel_j_ladder, nu, x)

@@ -16,10 +16,16 @@ from bosegas.oracles import (FAMILIES, OracleReport, check_bessel_identities,
                              check_matsubara_sum, check_poisson_resummation,
                              run_suite)
 from bosegas.quadrature import RadialIntegralSpec, integrate_radial
-from bosegas.specfun import bessel_i_scaled, bessel_j
+from bosegas.specfun import _bessel_i_scaled_ladder, _bessel_j_ladder
 
 # Every run_suite() report's relative_error and passed, as first recorded.
 RECORDS = Path(__file__).parent / "data" / "oracle_records.json"
+
+
+def rung(ladder, nu, xs):
+    """Order ``nu`` at every argument of ``xs``, from one ladder call."""
+    m = math.floor(nu)
+    return ladder(nu - m, m + 1, xs)[m]
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +165,8 @@ class TestLaplace:
         assert len(batch) == m_top + 1
         for m, got in enumerate(batch):
             spec = RadialIntegralSpec(
-                1, lambda qs, nu=m / n: np.exp(-decay * qs) * [
-                    bessel_i_scaled(nu, q) for q in qs.tolist()],
+                1, lambda qs, nu=m / n: np.exp(-decay * qs) * rung(
+                    _bessel_i_scaled_ladder, nu, qs),
                 singular_points=(1.0,), accuracy=oracles._ORACLE_ACC,
                 tail_scale=4.0 / decay)
             single = math.pi * integrate_radial(spec)
@@ -267,9 +273,9 @@ class TestBessel:
         nus = [m / n for m in range(4)]
         for nu, got in zip(nus, oracles._weber_quads(nus, a_r)):
             def integrand(ps, nu=nu):
-                return np.array([p * math.exp(-p * p) * bessel_j(nu, a_r * p)
-                                 ** 2 if p <= 9.5 else 0.0
-                                 for p in ps.tolist()])
+                p = np.where(ps <= 9.5, ps, 0.0)
+                return p * np.exp(-p * p) * rung(_bessel_j_ladder, nu,
+                                                 a_r * p) ** 2
             spec = RadialIntegralSpec(1, integrand, singular_points=(1.0, 9.5),
                                       accuracy=oracles._ORACLE_ACC)
             single = math.pi * integrate_radial(spec)

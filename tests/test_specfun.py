@@ -154,7 +154,7 @@ class TestBesselI:
         assert rel(bessel_i(0.0, 1.0), 1.2660658777520083) < 1e-13
         assert rel(bessel_i(2.0, 7.3), 166.00354780555286) < 1e-13
         assert rel(bessel_i_scaled(1.0 / 3.0, 2500.0),
-                   0.0079790672900534678) < 1e-11
+                   0.0079790672900534678) < 1e-14
 
     @pytest.mark.parametrize("x", [0.3, 5.0, 40.0])
     def test_half_order_closed_form(self, x):
@@ -186,77 +186,109 @@ class TestBesselI:
             bessel_i(0.0, 2e4)
 
 
+def _mp_scaled_i(mpmath, f, j, x):
+    """30-digit e^{-x} I_{f+j}(x), with f + j summed exactly."""
+    with mpmath.workdps(30):
+        return mpmath.besseli(mpmath.mpf(f) + j, x) * mpmath.exp(-x)
+
+
 class TestBesselILadder:
     """e^{-x} I_{f+j}(x) for a whole ladder of orders at once."""
 
     FRACTIONS = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.75)
     COUNT = 160
 
-    def _scalar(self, f, xs):
-        return np.array([[bessel_i_scaled(f + j, x) for x in xs]
-                         for j in range(self.COUNT)])
-
     @pytest.mark.parametrize("f", FRACTIONS)
     def test_matches_scalar_series(self, f):
+        # 62 arguments from 0 to 300 against 30-digit references; values
+        # below 1e-280 come out as (at most) denormals, never NaN
+        mpmath = pytest.importorskip("mpmath")
         xs = np.concatenate([[0.0], np.logspace(-8.0, math.log10(300.0), 61)])
         got = _bessel_i_scaled_ladder(f, self.COUNT, xs)
-        ref = self._scalar(f, xs)
         assert np.isfinite(got).all()
-        shown = ref > 1e-280
-        assert (np.abs(got - ref)[shown] / ref[shown]).max() <= 1e-12
-        assert (got[~shown] <= 1e-279).all()
+        for j in (0, 1, 2, 13, 80, 159):
+            ref = np.array([float(_mp_scaled_i(mpmath, f, j, x))
+                            for x in xs.tolist()])
+            shown = ref > 1e-280
+            assert (np.abs(got[j] - ref)[shown] / ref[shown]).max() <= 1e-13
+            assert (got[j][~shown] <= 1e-279).all()
 
     @pytest.mark.parametrize("f", FRACTIONS)
     def test_large_argument_carries_the_pivot_error_only(self, f):
-        # Up to x = 1e4 the pivot series itself is only good to ~2e-11
-        # (its log of the peak term is a difference of terms of size ~x),
-        # and each order's scalar series carries its own such error, so
-        # the two routes agree to 5e-11 there.
+        # The downward ratios add nothing to the error of row 0, the
+        # ladder's pivot, however large x is: row 0 (Hankel's expansion
+        # from x = 20) is within 2e-15 of 30-digit references, and every
+        # ratio of a rung to row 0 within 1e-14.
+        mpmath = pytest.importorskip("mpmath")
         xs = np.logspace(math.log10(300.0), 4.0, 9)
         got = _bessel_i_scaled_ladder(f, self.COUNT, xs)
-        ref = self._scalar(f, xs)
-        assert (np.abs(got - ref) / ref).max() <= 5e-11
+        for i, x in enumerate(xs.tolist()):
+            pivot = _mp_scaled_i(mpmath, f, 0, x)
+            assert float(abs(got[0, i] - pivot) / pivot) <= 2e-15
+            for j in (1, 2, 5, 13, 40, 80, 159):
+                ref = _mp_scaled_i(mpmath, f, j, x) / pivot
+                assert float(abs(got[j, i] / got[0, i] - ref) / ref) <= 1e-14
 
     def test_against_mpmath(self):
+        # x log-spaced over the whole domain plus both sides of the branch
+        # at x = 20; nu = f + j up to 256.  Row 0 is within 2e-15 and
+        # every rung within 1e-13.
         mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp
-        small = np.array([1e-6, 0.01, 0.3, 1.0, 2.5, 7.0, 20.0, 55.0, 120.0,
-                          200.0])
-        large = np.array([300.0, 1e3, 3e3, 1e4])
-        rungs = (0, 1, 2, 5, 13, 40, 80, 159)
-        worst = worst_scalar = worst_ratio = 0.0
-        with mpmath.workdps(30):
-            for f in self.FRACTIONS:
-                got = _bessel_i_scaled_ladder(f, self.COUNT, small)
-                for i, x in enumerate(small):
-                    for j in rungs:
-                        ref = mp.besseli(mp.mpf(f) + j, x) * mp.exp(-x)
-                        if ref < 1e-280:
-                            continue
-                        worst = max(worst, float(abs(got[j, i] - ref) / ref))
-                        worst_scalar = max(worst_scalar, float(
-                            abs(bessel_i_scaled(f + j, x) - ref) / ref))
-                # The downward ratios add nothing to the pivot's error,
-                # however large x is.
-                got = _bessel_i_scaled_ladder(f, self.COUNT, large)
-                for i, x in enumerate(large):
-                    pivot = mp.besseli(mp.mpf(f), x)
-                    for j in rungs[1:]:
-                        ref = mp.besseli(mp.mpf(f) + j, x) / pivot
-                        worst_ratio = max(worst_ratio, float(
-                            abs(got[j, i] / got[0, i] - ref) / ref))
-        # The ladder's error is its pivot's (1.4e-13 at f = 1/3, x = 200);
-        # the per-order scalar series reach 2.3e-13 on this lattice.
-        assert worst <= 2e-13
-        assert worst <= worst_scalar
-        assert worst_ratio <= 1e-14
+        xs = sorted(set(np.logspace(-3.0, 4.0, 29).tolist()
+                        + [19.99, 20.0, 1e3, 1e4]))
+        rungs = (0, 1, 2, 3, 7, 20, 40, 99, 100, 160, 255)
+        worst_row0 = worst = 0.0
+        for f in (0.0, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75):
+            got = _bessel_i_scaled_ladder(f, 256, np.array(xs))
+            for j in rungs:
+                for i, x in enumerate(xs):
+                    ref = _mp_scaled_i(mpmath, f, j, x)
+                    if ref < 1e-280:
+                        continue
+                    error = float(abs(got[j, i] - ref) / ref)
+                    worst = max(worst, error)
+                    if j == 0:
+                        worst_row0 = max(worst_row0, error)
+        assert worst_row0 <= 2e-15
+        assert worst <= 1e-13
 
-    @pytest.mark.parametrize("f", FRACTIONS + (2.7,))
-    def test_single_rung_is_the_pivot(self, f):
-        xs = np.array([0.0, 1e-300, 1e-8, 0.5, 3.0, 80.0, 2500.0, 1e4])
-        got = _bessel_i_scaled_ladder(f, 1, xs)
-        assert got.shape == (1, xs.size)
-        assert got[0].tolist() == [bessel_i_scaled(f, x) for x in xs]
+    @pytest.mark.parametrize("nu", FRACTIONS + (2.7,))
+    def test_single_rung_is_the_pivot(self, nu):
+        # bessel_i_scaled(nu) is rung floor(nu) of the ladder of nu's
+        # fractional part: for nu < 1 a ladder of one rung, its row 0
+        xs = np.array([0.0, 1e-300, 1e-8, 0.5, 3.0, 19.99, 20.0, 80.0,
+                       2500.0, 1e4])
+        m = math.floor(nu)
+        got = _bessel_i_scaled_ladder(nu - m, m + 1, xs)
+        assert got.shape == (m + 1, xs.size)
+        assert got[m].tolist() == [bessel_i_scaled(nu, x) for x in xs]
+
+    @pytest.mark.parametrize("f", [0.0, 0.25, 0.5])
+    def test_rungs_are_bessel_i_scaled_bitwise(self, f):
+        # a rung of a long table equals the scalar at its order, whose own
+        # ladder stops there and so starts its ratios lower down
+        xs = np.array([0.3, 7.0, 19.99, 20.0, 37.3, 209.0, 1e4])
+        ladder = _bessel_i_scaled_ladder(f, 200, xs)
+        for j in (0, 1, 2, 5, 17, 60, 140, 199):
+            assert ladder[j].tolist() == [bessel_i_scaled(f + j, x)
+                                          for x in xs.tolist()]
+
+    def test_arguments_are_independent(self):
+        # each argument starts its ratios on its own rung, so its rows
+        # are the same bits alone as inside a batch of 1,000 random
+        # arguments of both branches, with their own f and count; an
+        # argument's rows from its own count up are 0
+        rng = np.random.default_rng(25)
+        xs = np.concatenate([rng.uniform(0.0, 20.0, 500),
+                             10.0 ** rng.uniform(math.log10(20.0), 4.0, 500)])
+        fs = rng.choice([0.0, 0.25, 1.0 / 3.0, 0.5, 0.75], xs.size)
+        counts = rng.integers(1, 80, xs.size)
+        batch = _bessel_i_scaled_ladder(fs, counts, xs)
+        assert batch.shape == (counts.max(), xs.size)
+        for i in range(0, xs.size, 25):
+            alone = _bessel_i_scaled_ladder(fs[i], counts[i], xs[i:i + 1])
+            assert batch[:counts[i], i].tolist() == alone[:, 0].tolist()
+            assert not batch[counts[i]:, i].any()
 
     def test_tiny_arguments_underflow_to_zero(self):
         got = _bessel_i_scaled_ladder(0.5, 160, np.array([0.0, 1e-300]))
@@ -267,6 +299,7 @@ class TestBesselILadder:
         (-0.25, 4, 1.0),         # order below 0
         (0.5, 257, 1.0),         # top order 256.5 above the cap
         (256.5, 1, 1.0),
+        (1.0, 1, 1.0),           # not a fractional part
         (0.0, 0, 1.0),           # empty ladder
         (0.0, 4, -1.0),          # argument below 0
         (0.0, 4, 2e4),           # argument above the cap
@@ -275,6 +308,8 @@ class TestBesselILadder:
     def test_domain(self, f, count, x):
         with pytest.raises(ValueError):
             _bessel_i_scaled_ladder(f, count, np.array([1.0, x]))
+        with pytest.raises(ValueError):        # as one entry of many
+            _bessel_i_scaled_ladder([0.5, f], [2, count], np.array([1.0, x]))
 
 
 class TestBesselJ:
@@ -401,6 +436,22 @@ class TestBesselJLadder:
                                                      - ref)))
         assert worst <= 1e-14
 
+    def test_fractions_per_argument_keep_their_bits(self):
+        # a table of several fractional parts and counts is, argument by
+        # argument, the table of that argument's own f and count, and 0
+        # from its count up
+        rng = np.random.default_rng(24)
+        xs = np.concatenate([rng.uniform(0.0, 40.0, 36),
+                             [3.0, 12.5, 37.0, 209.0]])
+        fs = rng.choice([0.0, 1.0 / 3.0, 0.5], xs.size)
+        counts = rng.integers(1, 50, xs.size)
+        batch = _bessel_j_ladder(fs, counts, xs)
+        assert batch.shape == (counts.max(), xs.size)
+        for i in range(xs.size):
+            alone = _bessel_j_ladder(fs[i], counts[i], xs[i:i + 1])
+            assert batch[:counts[i], i].tolist() == alone[:, 0].tolist()
+            assert not batch[counts[i]:, i].any()
+
     @pytest.mark.parametrize("nu", [0.0, 0.25, 2.0, 255.5])
     def test_tiny_arguments(self, nu):
         # (x/2)^nu / Gamma(nu + 1) underflows to 0 for large orders; the
@@ -414,6 +465,7 @@ class TestBesselJLadder:
     @pytest.mark.parametrize("f,count,x", [
         (-0.25, 4, 1.0),         # order below 0
         (0.5, 257, 1.0),         # top order 256.5 above the cap
+        (1.0, 1, 1.0),           # not a fractional part
         (0.0, 0, 1.0),           # empty ladder
         (0.0, 4, -1.0),          # argument below 0
         (0.0, 4, 2e4),           # argument above the cap
@@ -422,3 +474,5 @@ class TestBesselJLadder:
     def test_domain(self, f, count, x):
         with pytest.raises(ValueError):
             _bessel_j_ladder(f, count, np.array([1.0, x]))
+        with pytest.raises(ValueError):        # as one entry of many
+            _bessel_j_ladder([0.5, f], [2, count], np.array([1.0, x]))

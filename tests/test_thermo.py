@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from bosegas.condensate import charge_density_rel
+from bosegas.condensate import (ChargeSpec, Regime, charge_density_rel,
+                                critical_temperature, sweep)
 from bosegas.errors import QuadratureError
 from bosegas.specfun import AccuracyBudget, EULER_GAMMA, gamma_upper
 from bosegas.thermo import (EntropyReport, FieldKind, Geometry, ModelParams,
@@ -454,6 +455,24 @@ class TestMpmathReference:
         ref = _mpmath_reference(mpmath, rtol, dim, kind, mass, temp, mu,
                                 "charge")
         assert rel(got, math.copysign(ref, mu)) <= rtol
+
+    @pytest.mark.parametrize("rho", [1e-3, 1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("t_ratio", [1.001, 2.0])
+    def test_fixed_charge_row(self, rho, t_ratio):
+        # A solved relativistic gas row (m = 1, T in units of T_C): at the
+        # row's mu the 30-digit charge density is rho to 2e-10 (the solve
+        # asks 1e-10 of its own quadrature), and the boundary part, (pi/6)
+        # V_2 times the occupation integral, half the fixed-mu (pi/3)
+        # moment, matches to the default rtol of 1e-12.
+        mpmath = pytest.importorskip("mpmath")
+        charge = ChargeSpec(rho, Regime.RELATIVISTIC)
+        temp = t_ratio * critical_temperature(charge, 1.0)
+        (row,) = sweep(charged(1.0, 3, 1e4), GEO, charge, [temp]).rows
+        ref = _mpmath_moment(mpmath, 3, "charged", 1.0, temp, row.mu,
+                             "charge", dps=30)
+        assert abs(math.copysign(ref, row.mu) - rho) <= 2e-10 * rho
+        ref = 0.5 * _mpmath_moment(mpmath, 3, "charged", 1.0, temp, row.mu)
+        assert rel(row.boundary_thermal_part, ref) <= 1e-12
 
 
 class TestRequestedAccuracy:
