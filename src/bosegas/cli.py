@@ -25,7 +25,7 @@ Subcommands
     opposite signs.
 ``verify``
     The identity-oracle suite; one JSON report per line.  Its ``jump``
-    family checks the closed-form jump against one-sided stencils.
+    family checks the closed-form jump against Chebyshev interpolants.
 
 Configuration is a flat ``key = value`` file with dotted sections
 (``model.mass = 1.0``); command-line flags override file values.  Each

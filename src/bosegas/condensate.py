@@ -56,11 +56,10 @@ left derivative, and the jump as :math:`(\pi V_2/6m)\,dC/dT` with
 predictions; the ultra-relativistic one, :math:`-(\pi\sqrt3/9)\,V_2
 \sqrt{|\rho|/m}`, carries the sign of right minus left, so the two
 disagree in sign and the result reports that as a sign finding.
-One-sided Richardson stencils of the boundary part itself
-(``_stencil_discontinuity``) are kept as an independent cross-check for
-the ``jump`` family of :func:`bosegas.oracles.run_suite`; each stencil
-point above :math:`T_C` starts its solve from the nearest solved point,
-scaled by :math:`u \propto T - T_C`.
+A Chebyshev interpolant of the boundary part itself on each side of
+:math:`T_C`, differentiated there (``_chebyshev_slopes``), is kept as an
+independent cross-check for the ``jump`` family of
+:func:`bosegas.oracles.run_suite`.
 """
 
 from __future__ import annotations
@@ -200,13 +199,12 @@ class DiscontinuityResult:
     right - left; the relativistic ``jump`` is positive, so the two have
     opposite signs and ``stencil_orders["sign_finding"]`` says so.
 
-    ``stencil_orders`` keeps its name from the stencil route.  It holds
-    ``route`` ("closed-form", or "stencil" for the cross-check),
-    ``left`` and ``right`` dicts with an integer ``levels`` (0 on the
-    closed-form route; on the stencil route, each side's refinement
-    table), on the closed-form route ``achieved``, the relative error
-    estimate of each integral (empty in the NR regime, which takes none),
-    ``sign_finding``, and one regime-specific reference value.
+    ``stencil_orders`` keeps its name from a finite-difference route that
+    is gone.  It holds ``route`` ("closed-form"), ``left`` and ``right``
+    dicts with an integer ``levels`` (always 0), ``achieved``, the
+    relative error estimate of each integral (empty in the NR regime,
+    which takes none), ``sign_finding``, and one regime-specific
+    reference value.
     """
 
     critical_temperature: float
@@ -444,8 +442,7 @@ def _solve_nr(temperature: float, rho_abs: float, mass: float,
     return gap, mass - gap, rho_abs, 0.0, Phase.GAS
 
 
-def _rel_row(rho_abs: float, mass: float, residual_rtol: float,
-             u_guess: float | None = None):
+def _rel_row(rho_abs: float, mass: float, residual_rtol: float):
     """Relativistic mu(T) solve of one row, as a coroutine that yields
     ("f", a) for the excited density at |mu| = a and ("d", a) for d rho /
     d|mu| (None if that failed), and returns (gap, |mu|, excited,
@@ -454,10 +451,10 @@ def _rel_row(rho_abs: float, mass: float, residual_rtol: float,
     The first request is the capacity (a = m); below rho the row is
     condensed.  In the gas, Newton in u = sqrt(gap), safeguarded by the
     bracket from u ~ 0 (capacity - rho) to u = sqrt(m) (mu = 0, residual
-    -rho).  Without ``u_guess`` it starts where the chord between the
-    bracket ends crosses zero in the gap: rho is convex in the gap, so
-    that start lies above the root, and close to it wherever rho is
-    near-linear in the gap (all but a thin layer just above T_C).
+    -rho).  It starts where the chord between the bracket ends crosses
+    zero in the gap: rho is convex in the gap, so that start lies above
+    the root, and close to it wherever rho is near-linear in the gap (all
+    but a thin layer just above T_C).
 
     m - u^2 resolves |mu| only to ~1e-14 m.  rho is convex in |mu|, so
     a_low = m rho / capacity bounds the root from below; below _SMALL_MU m
@@ -473,8 +470,7 @@ def _rel_row(rho_abs: float, mass: float, residual_rtol: float,
     else:
         bracket = (math.sqrt(1e-30 * mass), math.sqrt(mass),
                    capacity - rho_abs, -rho_abs)
-        guess = (math.sqrt(mass * (capacity - rho_abs) / capacity)
-                 if u_guess is None else u_guess)
+        guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
     solve = _solve_bracketed(
         *bracket, x_rtol=1e-14, guess=guess, slope=True,
         f_stop=lambda r: abs(r) <= residual_rtol * rho_abs)
@@ -494,8 +490,7 @@ def _rel_row(rho_abs: float, mass: float, residual_rtol: float,
 
 
 def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
-                    mass: float, acc: AccuracyBudget, residual_rtol: float,
-                    u_guesses: Sequence[float | None] | None = None
+                    mass: float, acc: AccuracyBudget, residual_rtol: float
                     ) -> list:
     """(gap, |mu|, excited, condensed, phase) per temperature, or the
     exception its row raised, all rows solved in lockstep.
@@ -508,8 +503,7 @@ def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
     """
     q_acc, s_acc = _solver_acc(acc), _slope_acc(acc)
     out: list = [None] * len(temperatures)
-    solves = [_rel_row(rho_abs, mass, residual_rtol, guess)
-              for guess in u_guesses or [None] * len(temperatures)]
+    solves = [_rel_row(rho_abs, mass, residual_rtol) for _ in temperatures]
     pending: dict = {}
 
     def advance(i: int, reply) -> None:
@@ -817,50 +811,6 @@ def _closed_form_slopes(tc: float, mass: float, v2: float,
     return coeff * s_left / tc, coeff / mass * c * s_jump / tc, achieved
 
 
-def _jump_result(params: ModelParams, geometry: Geometry, charge: ChargeSpec,
-                 acc: AccuracyBudget, route: str, slopes: Callable
-                 ) -> DiscontinuityResult:
-    """Solve T_C, take the one-sided slopes there, attach the references.
-
-    ``slopes(regime, tc)`` returns (left, right, per-route diagnostics).
-    """
-    _validate_fixed_charge_model(params)
-    regime = _resolve_regime(charge, params.mass)
-    m = params.mass
-    rho_abs = abs(charge.density)
-    v2 = geometry.two_volume
-    tc = critical_temperature(ChargeSpec(charge.density, regime), m, acc)
-    left, right, orders = slopes(regime, tc)
-    if regime is Regime.NON_RELATIVISTIC:
-        analytic = 0.25 * math.pi * v2 * rho_abs / (m * tc)
-        orders["nr_rescaled_convention_jump"] = (
-            0.5 * math.pi ** 2 * _ZETA_3_2 ** (2.0 / 3.0) * v2
-            * rho_abs ** (1.0 / 3.0))
-    else:
-        analytic = -(math.pi * math.sqrt(3.0) / 9.0) * v2 \
-            * math.sqrt(rho_abs / m)
-        orders["critical_temperature_leading"] = math.sqrt(3.0 * rho_abs / m)
-    jump = left - right
-    finding = None
-    if jump * analytic < 0.0:
-        agree = abs(abs(jump / analytic) - 1.0) < 0.05
-        finding = (
-            f"sign finding: {route} jump {jump:+.6g} (left - right) and UR "
-            f"prediction {analytic:+.6g} (right - left) have opposite signs; "
-            f"magnitudes {'agree' if agree else 'differ'} ({route} jump kept "
-            "as computed)")
-    orders["route"] = route
-    orders["sign_finding"] = finding
-    return DiscontinuityResult(
-        critical_temperature=tc,
-        left_derivative=left,
-        right_derivative=right,
-        jump=jump,
-        analytic_jump=analytic,
-        stencil_orders=orders,
-    )
-
-
 def discontinuity_estimate(params: ModelParams, geometry: Geometry,
                            charge: ChargeSpec,
                            acc: AccuracyBudget = DEFAULT_BUDGET
@@ -883,166 +833,114 @@ def discontinuity_estimate(params: ModelParams, geometry: Geometry,
     result carries, and warns with, a sign finding; neither number is
     adjusted to match.
     """
-
-    def slopes(regime: Regime, tc: float) -> tuple[float, float, dict]:
-        m = params.mass
-        if regime is Regime.NON_RELATIVISTIC:
-            left = 1.5 * (math.pi / 6.0) * (geometry.two_volume / m) \
-                * abs(charge.density) / tc
-            right, achieved = 0.0, {}
-        else:
-            left, jump, achieved = _closed_form_slopes(
-                tc, m, geometry.two_volume, acc)
-            right = left - jump
-        return left, right, {"left": {"levels": 0}, "right": {"levels": 0},
-                             "achieved": achieved}
-
-    result = _jump_result(params, geometry, charge, acc, "closed-form",
-                          slopes)
-    if result.stencil_orders["sign_finding"] is not None:
-        warnings.warn(result.stencil_orders["sign_finding"], stacklevel=2)
-    return result
-
-
-# A one-sided stencil may stop from this level on, once successive
-# Richardson extrapolants agree to this relative difference.
-_STENCIL_MIN_LEVELS = 4
-_STENCIL_STOP_REL = 0.005
-
-
-def _one_sided_stencils(f: Callable[[float], float], tc: float, h0: float,
-                        side: float, max_levels: int,
-                        cache: dict[float, float]) -> tuple[float, dict]:
-    """One-sided derivative of f at tc from the given side.
-
-    Third-order four-point stencils at step h0 / 2^k, Richardson-refined
-    twice; from level ``_STENCIL_MIN_LEVELS`` on, stops when successive top
-    extrapolants agree to ``_STENCIL_STOP_REL`` or the refinement starts
-    amplifying quadrature noise.
-    """
-
-    def value(x: float) -> float:
-        if x not in cache:
-            cache[x] = f(x)
-        return cache[x]
-
-    hs: list[float] = []
-    raw: list[float] = []
-    r1: list[float] = []
-    r2: list[float] = []
-    diffs: list[float] = []
-    best = (math.inf, 0.0, 0)       # (successive diff, estimate, level)
-    converged = False
-    for k in range(max_levels + 1):
-        h = h0 / 2.0 ** k
-        f0 = value(tc)
-        f1 = value(tc + side * h)
-        f2 = value(tc + 2.0 * side * h)
-        f3 = value(tc + 3.0 * side * h)
-        a = side * (-11.0 * f0 + 18.0 * f1 - 9.0 * f2 + 2.0 * f3) / (6.0 * h)
-        hs.append(h)
-        raw.append(a)
-        r1.append((8.0 * a - raw[-2]) / 7.0 if k >= 1 else a)
-        r2.append((16.0 * r1[-1] - r1[-2]) / 15.0 if k >= 2 else r1[-1])
-        if k >= 1:
-            diff = abs(r2[-1] - r2[-2])
-            diffs.append(diff)
-            # Floor the convergence scale at the derivative uncertainty
-            # implied by ~1e-13 relative noise on the function values.
-            scale = max(abs(r2[-1]), 1e-13 * abs(f0) / h, 1e-300)
-            if diff < best[0]:
-                best = (diff, r2[-1], k)
-            if k >= _STENCIL_MIN_LEVELS and diff <= _STENCIL_STOP_REL * scale:
-                converged = True
-                break
-            # Noise guard: two consecutive growing diffs after the best
-            # level means the quadrature noise floor has been reached.
-            if (k >= _STENCIL_MIN_LEVELS + 2 and len(diffs) >= 3
-                    and diffs[-1] > diffs[-2] > diffs[-3]):
-                break
-    estimate = r2[-1] if converged else best[1]
-    diag = {
-        "h": hs,
-        "raw": raw,
-        "richardson1": r1,
-        "richardson2": r2,
-        "converged": converged,
-        "levels": len(hs),
-        "estimate": estimate,
-    }
-    return estimate, diag
+    _validate_fixed_charge_model(params)
+    regime = _resolve_regime(charge, params.mass)
+    m = params.mass
+    rho_abs = abs(charge.density)
+    v2 = geometry.two_volume
+    tc = critical_temperature(ChargeSpec(charge.density, regime), m, acc)
+    if regime is Regime.NON_RELATIVISTIC:
+        left = 1.5 * (math.pi / 6.0) * (v2 / m) * rho_abs / tc
+        right, achieved = 0.0, {}
+        analytic = 0.25 * math.pi * v2 * rho_abs / (m * tc)
+        reference = {"nr_rescaled_convention_jump": (
+            0.5 * math.pi ** 2 * _ZETA_3_2 ** (2.0 / 3.0) * v2
+            * rho_abs ** (1.0 / 3.0))}
+    else:
+        left, delta, achieved = _closed_form_slopes(tc, m, v2, acc)
+        right = left - delta
+        analytic = -(math.pi * math.sqrt(3.0) / 9.0) * v2 \
+            * math.sqrt(rho_abs / m)
+        reference = {"critical_temperature_leading":
+                     math.sqrt(3.0 * rho_abs / m)}
+    jump = left - right         # of the slopes as reported
+    finding = None
+    if jump * analytic < 0.0:
+        agree = abs(abs(jump / analytic) - 1.0) < 0.05
+        finding = (
+            f"sign finding: closed-form jump {jump:+.6g} (left - right) and "
+            f"UR prediction {analytic:+.6g} (right - left) have opposite "
+            f"signs; magnitudes {'agree' if agree else 'differ'} "
+            "(closed-form jump kept as computed)")
+        warnings.warn(finding, stacklevel=2)
+    return DiscontinuityResult(
+        critical_temperature=tc,
+        left_derivative=left,
+        right_derivative=right,
+        jump=jump,
+        analytic_jump=analytic,
+        stencil_orders={"left": {"levels": 0}, "right": {"levels": 0},
+                        "achieved": achieved, **reference,
+                        "route": "closed-form", "sign_finding": finding},
+    )
 
 
-def _stencil_discontinuity(params: ModelParams, geometry: Geometry,
-                           charge: ChargeSpec,
-                           acc: AccuracyBudget = DEFAULT_BUDGET
-                           ) -> DiscontinuityResult:
-    """The same slopes by one-sided Richardson stencils: a cross-check.
+# Chebyshev-Lobatto points per side of T_C for the jump cross-check.  The
+# slope amplifies the integrals' ~1e-13 noise by about n^2 T_C / h, so n
+# stays small and fixed.
+_JUMP_POINTS = 8
 
-    The stencils difference the boundary part itself, on the condensation
-    boundary below T_C and along the solved mu(T) above it, so they share
-    nothing with the closed form but T_C and the occupation kernel.  They
-    cost ~87 integrals per relativistic call, and their right side does
-    not settle at high density (rho = 1e8: 8 levels, ``converged``
-    False), which is why ``discontinuity_estimate`` does not use them.
-    ``stencil_orders`` holds each side's refinement table.  No warning is
-    raised for a sign finding.
+
+def _chebyshev_slopes(params: ModelParams, geometry: Geometry,
+                      charge: ChargeSpec, tc: float,
+                      acc: AccuracyBudget = DEFAULT_BUDGET
+                      ) -> tuple[float, float]:
+    """One-sided derivatives of the boundary part at ``tc`` (T_C), from a
+    Chebyshev interpolant per side: the cross-check of the ``jump`` family
+    of :func:`bosegas.oracles.run_suite`.
+
+    Each side samples the boundary part itself at ``_JUMP_POINTS``
+    Chebyshev-Lobatto points: on the condensation boundary (a = m) over
+    [T_C - 0.01 T_C, T_C], and along the solved mu(T) over [T_C, T_C + h],
+    so it shares nothing with the closed form but T_C and the occupation
+    kernel.  Above T_C, sqrt(gap) grows like sqrt(T - T_C) except inside
+    a layer of width delta* ~ (9 / 2 pi^2) m^2 / T_C, where it is linear
+    in T - T_C; the interpolant must sit well inside that layer to see
+    the one-sided slope: h = min(0.01 T_C, 0.03 delta*).  T_C is a node
+    of both sides, taken at a = m.  The relativistic gas points are solved
+    in one batch at a 3e-13 residual, and every point is reported in one
+    more; the NR boundary part is closed form on both sides.
+
+    The slope at T_C is the derivative of the interpolant at that end, in
+    barycentric form (Berrut & Trefethen, SIAM Rev. 46 (2004) 501): with
+    the Lobatto weights w_j = (-1)^j, halved at both ends, it is
+    sum_j (w_j / w_0) (f_j - f_0) / (T_C - T_j).
     """
     m = params.mass
     rho_abs = abs(charge.density)
     coeff = math.pi / 6.0 * geometry.two_volume
+    last = _JUMP_POINTS - 1
+    # (1 - x_j) / 2 at the Lobatto points x_j = cos(j pi / last): 0 at T_C,
+    # 1 at the far end of the interval.
+    steps = [math.sin(0.5 * math.pi * j / last) ** 2
+             for j in range(_JUMP_POINTS)]
+    below = [tc - 0.01 * tc * s for s in steps]
+    if _resolve_regime(charge, m) is Regime.NON_RELATIVISTIC:
+        above = [tc + 0.01 * tc * s for s in steps]
+        f_below = [coeff / m * (m * t / (2.0 * math.pi)) ** 1.5 * _ZETA_3_2
+                   for t in below]
+        f_above = f_below[:1] + [coeff / m * rho_abs] * last
+    else:
+        tight = _jump_budget(acc)
+        delta_star = 4.5 * m * m / (math.pi ** 2 * tc)
+        h = min(0.01 * tc, 0.03 * delta_star)
+        above = [tc + h * s for s in steps]
+        gas = _solve_rel_rows(above[1:], rho_abs, m, tight, 3e-13)
+        for row in gas:
+            if isinstance(row, Exception):
+                raise row
+        values = _occupation_rows(3, m, below + above[1:],
+                                  [m] * _JUMP_POINTS + [row[1] for row in gas],
+                                  _boundary_charged, tight)
+        for value in values:
+            if isinstance(value, Exception):
+                raise value
+        f_below = [coeff * v for v in values[:_JUMP_POINTS]]
+        f_above = f_below[:1] + [coeff * v for v in values[_JUMP_POINTS:]]
 
-    def slopes(regime: Regime, tc: float) -> tuple[float, float, dict]:
-        if regime is Regime.NON_RELATIVISTIC:
-            def f_below(t: float) -> float:
-                return coeff / m * (m * t / (2.0 * math.pi)) ** 1.5 \
-                    * _ZETA_3_2
+    def endpoint_slope(ts: list, fs: list) -> float:
+        return float(sum((-1.0) ** j * (1.0 if j == last else 2.0)
+                         * (fs[j] - fs[0]) / (ts[0] - ts[j])
+                         for j in range(1, _JUMP_POINTS)))
 
-            def f_above(_t: float) -> float:
-                return coeff / m * rho_abs
-
-            max_levels = 12
-            h0_right = 0.01 * tc
-        else:
-            tight = _jump_budget(acc)
-
-            def f_below(t: float) -> float:
-                return coeff * _occupation_integral(3, m, t, m,
-                                                    _boundary_charged, tight)
-
-            solved: dict[float, float] = {}     # T -> sqrt(gap), above T_C
-
-            def f_above(t: float) -> float:
-                # Start from the nearest solved point, scaled by
-                # sqrt(gap) ~ T - T_C, the limiting branch sampled here.
-                u_guess = None
-                if solved:
-                    near = min(solved, key=lambda s: abs(s - t))
-                    u_guess = solved[near] * (t - tc) / (near - tc)
-                (row,) = _solve_rel_rows([t], rho_abs, m, tight, 3e-13,
-                                         [u_guess])
-                if isinstance(row, Exception):
-                    raise row
-                gap, a = row[:2]
-                solved[t] = math.sqrt(gap)
-                return coeff * _occupation_integral(3, m, t, a,
-                                                    _boundary_charged, tight)
-
-            max_levels = 14
-            # Above T_C the solved gap crosses over from a sqrt(T - T_C)
-            # branch to a branch linear in T - T_C inside a layer of width
-            # ~ (9 / 2 pi^2) m^2 / T_C; the stencil must sample well inside
-            # that layer to see the limiting one-sided slope.
-            delta_star = 4.5 * m * m / (math.pi ** 2 * tc)
-            h0_right = min(0.01 * tc, 0.03 * delta_star)
-        # Both sides share the value at T_C itself, taken on the
-        # condensation boundary (gap = 0); seeding it also spares the
-        # gas-phase solver a borderline bracket exactly at the transition.
-        f_tc = f_below(tc)
-        left, diag_left = _one_sided_stencils(
-            f_below, tc, 0.01 * tc, -1.0, max_levels, {tc: f_tc})
-        right, diag_right = _one_sided_stencils(
-            f_above, tc, h0_right, +1.0, max_levels, {tc: f_tc})
-        return left, right, {"left": diag_left, "right": diag_right}
-
-    return _jump_result(params, geometry, charge, acc, "stencil", slopes)
+    return endpoint_slope(below, f_below), endpoint_slope(above, f_above)

@@ -26,9 +26,9 @@ they ultimately support):
   of the order sum :math:`e^{-x}\sum_{m} I_{|m|/n}(x)`.
 * ``check_derivative_jump``: the one exception to the rule above.  It
   checks the closed-form jump of :math:`\partial I_m/\partial T` at
-  :math:`T_C` (``condensate.discontinuity_estimate``) against one-sided
-  Richardson stencils of the boundary part itself, two routes that share
-  only :math:`T_C` and the occupation kernel.
+  :math:`T_C` (``condensate.discontinuity_estimate``) against a Chebyshev
+  interpolant of the boundary part itself on each side of :math:`T_C`,
+  two routes that share only :math:`T_C` and the occupation kernel.
 
 The saturation check is asserted against the value ``R^2/2`` independent
 of ``n``.  That holds only for ``n = 1``: for ``n > 1`` each fractional
@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .condensate import (ChargeSpec, Regime, _stencil_discontinuity,
+from .condensate import (ChargeSpec, Regime, _chebyshev_slopes,
                          discontinuity_estimate)
 from .quadrature import _integrate_radial_rows, sum_bilateral
 from .specfun import (_LATTICE_TOL, _NU_MAX, AccuracyBudget,
@@ -470,27 +470,29 @@ def check_bessel_identities(z: float, n: float, a_r: float) -> OracleReport:
 # ----------------------------------------------------------------------
 
 def check_derivative_jump(density: float, regime: Regime) -> OracleReport:
-    """Closed-form derivative jump at T_C vs one-sided stencils.
+    """Closed-form derivative jump at T_C vs a Chebyshev interpolant per
+    side.
 
     m = 1, V_2 = 1.  lhs: the jump (left - right) of
-    ``discontinuity_estimate``; rhs: the same from the Richardson stencils
-    of ``condensate._stencil_discontinuity``.  The jumps must agree to
-    1e-5 (the stencils' own error: 3e-6 at rho = 1e4) and the left
-    derivatives to 1e-10.  The known sign finding of the relativistic
-    regime is not re-warned here.
+    ``discontinuity_estimate``; rhs: the same from
+    ``condensate._chebyshev_slopes``, which differentiates the boundary
+    part itself at T_C.  The jumps must agree to 1e-5 (the interpolants'
+    own error: 2e-6 at rho = 1e4) and the left derivatives to 1e-10.  The
+    known sign finding of the relativistic regime is not re-warned here.
     """
     params = ModelParams(1.0, 3, 1e4, FieldKind.CHARGED_COMPLEX)
     charge = ChargeSpec(density, regime)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="sign finding")
         closed = discontinuity_estimate(params, Geometry(), charge)
-    stencil = _stencil_discontinuity(params, Geometry(), charge)
-    err_jump = abs(closed.jump - stencil.jump) / abs(closed.jump)
-    err_left = abs(closed.left_derivative - stencil.left_derivative) \
+    left, right = _chebyshev_slopes(params, Geometry(), charge,
+                                    closed.critical_temperature)
+    jump = left - right
+    err_jump = abs(closed.jump - jump) / abs(closed.jump)
+    err_left = abs(closed.left_derivative - left) \
         / abs(closed.left_derivative)
-    orders = stencil.stencil_orders
     return _report(
-        "derivative_jump_routes", closed.jump, stencil.jump, 1e-5,
+        "derivative_jump_routes", closed.jump, jump, 1e-5,
         [(err_jump, 1e-5), (err_left, 1e-10)],
         {
             "density": density,
@@ -498,10 +500,6 @@ def check_derivative_jump(density: float, regime: Regime) -> OracleReport:
             "critical_temperature": closed.critical_temperature,
             "jump_error": err_jump,
             "left_derivative_error": err_left,
-            "stencil_levels": [orders["left"]["levels"],
-                               orders["right"]["levels"]],
-            "stencil_converged": [orders["left"]["converged"],
-                                  orders["right"]["converged"]],
         },
     )
 

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import bosegas
-from bosegas.condensate import (ChargeSpec, Regime, _stencil_discontinuity,
-                                critical_temperature, discontinuity_estimate,
+from bosegas.condensate import (ChargeSpec, Regime, critical_temperature,
+                                discontinuity_estimate,
                                 mutual_info_at_fixed_charge,
                                 solve_chemical_potential)
 from bosegas.oracles import check_bessel_identities, check_f_n_alpha, run_suite
@@ -318,6 +318,3 @@ class TestPackageSurface:
         result = discontinuity_estimate(params, Geometry(), charge)
         text = json.dumps(result.stencil_orders, sort_keys=True)
         assert "route" in text
-        stencil = _stencil_discontinuity(params, Geometry(), charge)
-        text = json.dumps(stencil.stencil_orders, sort_keys=True)
-        assert "converged" in text

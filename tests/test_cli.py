@@ -13,8 +13,7 @@ import pytest
 
 from bosegas import cli, condensate
 from bosegas.cli import main
-from bosegas.condensate import (ChargeSpec, Regime, _stencil_discontinuity,
-                                critical_temperature)
+from bosegas.condensate import ChargeSpec, Regime, critical_temperature
 from bosegas.errors import ConvergenceError
 from bosegas.specfun import AccuracyBudget
 from bosegas.thermo import (FieldKind, Geometry, ModelParams, ThermalPoint,
@@ -289,11 +288,6 @@ class TestDiscontinuity:
         assert payload["diagnostics"]["sign_finding"] is None
         assert payload["diagnostics"]["route"] == "closed-form"
         assert payload["diagnostics"]["left"]["levels"] == 0
-        # the stencil cross-check is not reachable from the CLI
-        stencil = _stencil_discontinuity(
-            ModelParams(1.0, 3, 1e4, FieldKind.CHARGED_COMPLEX), Geometry(),
-            ChargeSpec(1.0, Regime.NON_RELATIVISTIC))
-        assert stencil.stencil_orders["left"]["converged"] is True
 
     @pytest.mark.filterwarnings("ignore:sign finding")
     def test_rel_payload_at_high_density(self, capsys):

@@ -9,8 +9,9 @@ Closed-form references (all evaluated in-test):
   relativistic transition, and the jump magnitude pi T_C / 9;
 * the NR jump (pi/4) V_2 rho / (m T_C), exact on the closed-form route.
 
-The closed-form jump is also checked against the one-sided stencils of
-``_stencil_discontinuity``, an independent route.
+The closed-form jump is also checked against ``_chebyshev_slopes``, an
+independent route that differentiates a Chebyshev interpolant of the
+boundary part on each side of T_C.
 
 One frozen anchor (the refined relativistic T_C at rho = 1e4, m = 1) guards
 quadrature drift.  Work-count tests pin how many radial integrals the
@@ -25,7 +26,7 @@ import pytest
 
 from bosegas import condensate, quadrature, thermo
 from bosegas.condensate import (ChargeSpec, CondensateState, Phase, Regime,
-                                _stencil_discontinuity, charge_density_rel,
+                                _chebyshev_slopes, charge_density_rel,
                                 critical_temperature, discontinuity_estimate,
                                 excited_density_nr,
                                 mutual_info_at_fixed_charge,
@@ -374,11 +375,10 @@ class TestDiscontinuity:
         assert rel(result.jump, analytic) < 1e-12
         assert result.stencil_orders["sign_finding"] is None
         assert result.stencil_orders["route"] == "closed-form"
-        stencil = _stencil_discontinuity(charged_params(), GEO, nr_charge())
-        assert rel(stencil.jump, analytic) < 0.02
-        assert stencil.stencil_orders["sign_finding"] is None
-        assert stencil.stencil_orders["left"]["converged"]
-        assert stencil.stencil_orders["right"]["converged"]
+        left, right = _chebyshev_slopes(charged_params(), GEO, nr_charge(),
+                                        tc)
+        assert rel(left - right, analytic) < 1e-10
+        assert abs(right) < 1e-10 * left
         # alternate-normalization jump: exactly 4 pi^2 times the series one
         rescaled = result.stencil_orders["nr_rescaled_convention_jump"]
         assert rel(rescaled, 4.0 * math.pi ** 2 * analytic) < 1e-12
@@ -397,6 +397,17 @@ class TestDiscontinuity:
         assert result.stencil_orders["left"]["levels"] == 0
         assert result.stencil_orders["right"]["levels"] == 0
         assert result.stencil_orders["achieved"] == {}
+
+    @pytest.mark.parametrize("rho,mass,v2", [(1e-3, 1.0, 1.0), (1.0, 2.0, 3.0),
+                                             (5.0, 0.5, 0.25)])
+    def test_nr_chebyshev_slopes_match_closed_form(self, rho, mass, v2):
+        params, geometry = charged_params(mass=mass), Geometry(two_volume=v2)
+        result = discontinuity_estimate(params, geometry, nr_charge(rho))
+        left, right = _chebyshev_slopes(params, geometry, nr_charge(rho),
+                                        result.critical_temperature)
+        assert rel(left, result.left_derivative) < 1e-10
+        # the one nonzero difference is T_C's condensed value vs rho
+        assert abs(right) < 1e-10 * left
 
     def test_nr_right_slope_is_zero(self):
         result = discontinuity_estimate(charged_params(), GEO, nr_charge())
@@ -418,9 +429,8 @@ class TestDiscontinuity:
         finding = result.stencil_orders["sign_finding"]
         assert finding is not None and "opposite signs" in finding
         assert "closed-form" in finding
-        stencil = _stencil_discontinuity(params, GEO, rel_charge(1.0e4))
-        assert stencil.stencil_orders["left"]["converged"]
-        assert stencil.stencil_orders["right"]["converged"]
+        left, right = _chebyshev_slopes(params, GEO, rel_charge(1.0e4), tc)
+        assert rel(left - right, result.jump) < 1e-5
 
     @pytest.mark.filterwarnings("ignore:sign finding")
     @pytest.mark.parametrize("rho", [1.0e5, 1.0e6])
@@ -431,12 +441,6 @@ class TestDiscontinuity:
         closed_form = math.pi * math.sqrt(3.0) / 9.0 * math.sqrt(rho)
         assert rel(abs(result.jump), closed_form) < 1e-3
         assert rel(abs(result.analytic_jump), closed_form) < 1e-12
-        if rho == 1.0e5:
-            # The right stencil differences I_m over steps down to h ~ 3e-9
-            # T_C, so it settles only when every integral meets its rtol.
-            stencil = _stencil_discontinuity(charged_params(), GEO,
-                                             rel_charge(rho), acc)
-            assert stencil.stencil_orders["right"]["levels"] == 5
 
     @pytest.mark.filterwarnings("ignore:sign finding")
     @pytest.mark.parametrize("rho", [1.0e4, 1.0e8, 1.0e10, 1.0e11])
@@ -462,23 +466,13 @@ class TestDiscontinuity:
         acc = AccuracyBudget(relative_tolerance=1e-8)
         closed = discontinuity_estimate(charged_params(), GEO,
                                         rel_charge(rho), acc)
-        stencil = _stencil_discontinuity(charged_params(), GEO,
-                                         rel_charge(rho), acc)
-        assert stencil.stencil_orders["route"] == "stencil"
-        assert stencil.critical_temperature == closed.critical_temperature
-        assert rel(closed.jump, stencil.jump) <= 1e-5
-        assert rel(closed.left_derivative, stencil.left_derivative) <= 1e-10
-
-    def test_stencil_right_side_unsettled_at_high_density(self):
-        # A finding of the stencil route, kept: at rho = 1e8 the right
-        # stencil stops on its noise guard after 8 levels, not converged.
-        stencil = _stencil_discontinuity(
-            charged_params(), GEO, rel_charge(1.0e8),
-            AccuracyBudget(relative_tolerance=1e-8))
-        right = stencil.stencil_orders["right"]
-        assert right["levels"] == 8
-        assert right["converged"] is False
-        assert stencil.stencil_orders["left"]["converged"] is True
+        left, right = _chebyshev_slopes(charged_params(), GEO,
+                                        rel_charge(rho),
+                                        closed.critical_temperature, acc)
+        # plain floats, so a report holding them serializes as JSON
+        assert type(left) is float and type(right) is float
+        assert rel(closed.jump, left - right) <= 1e-5
+        assert rel(closed.left_derivative, left) <= 1e-10
 
 
 class TestStateShape:
