@@ -17,23 +17,19 @@ by quadrature with the antiparticle branch always included.
 
 Every fixed-charge root solve (the relativistic :math:`T_C`, and
 :math:`\mu(T)` in both regimes) runs one safeguarded bracketed solver,
-the ``_solve_bracketed`` coroutine: Newton or secant steps from the
-latest point, with bisection only when a step leaves the bracket or two
-steps in a row fail to halve the residual.  The gas-phase unknown is
+the ``_solve_bracketed`` coroutine: secant steps through the two latest
+points, with bisection only when a step leaves the bracket or two steps
+in a row fail to halve the residual.  The gas-phase unknown is
 :math:`u = \sqrt{m - |\mu|}` (relativistic) or :math:`\sqrt{-\mu_{NR}/T}`
 (non-relativistic): the density falls like :math:`C - c\,u` just above
 :math:`T_C`, so it is close to linear in :math:`u` where it is singular in
 :math:`\mu`.  Far above :math:`T_C`, where :math:`|\mu| \ll m` and
 :math:`m - u^2` cannot resolve it, the relativistic unknown is
-:math:`|\mu|` itself.  The relativistic solve takes Newton steps with
-:math:`\partial\rho/\partial u` from one more occupation integral,
-:math:`\beta\,n(1+n)` on both branches, at a loose fixed budget (it only
-sets the step; the residual keeps the tight one).  :math:`T_C` and
-non-relativistic rows drive the solver one row at a time.  A
-relativistic :func:`sweep` runs its rows in lockstep: one batched
-capacity pass, one Newton solve over all gas rows, each from its own
-chord start, with one batched residual and one batched slope integral
-per round, and one batched pass per report moment.  Every batched
+:math:`|\mu|` itself.  :math:`T_C` and non-relativistic rows drive the
+solver one row at a time.  A relativistic :func:`sweep` runs its rows in
+lockstep: one batched capacity pass, one secant solve over all gas rows,
+each from its own chord start, with one batched residual integral per
+round, and one batched pass per report moment.  Every batched
 integral refines each row on its own (``_integrate_radial_rows``),
 so a row's bytes do not depend on the rows swept with it;
 ``solve_chemical_potential`` and ``mutual_info_at_fixed_charge`` are
@@ -257,22 +253,13 @@ def _capacity_moment(x_minus, x_plus, _omega):
     return _bose(x_minus) * (1.0 + _bose(x_plus))
 
 
-def _slope_moment(x_minus, x_plus, _omega):
-    """T d rho / d|mu|: sum n (1 + n) over both branches."""
-    n_minus, n_plus = _bose(x_minus), _bose(x_plus)
-    return n_minus * (1.0 + n_minus) + n_plus * (1.0 + n_plus)
-
-
 def _charge_rows(temperatures: Sequence[float], mus: Sequence[float],
-                 mass: float, acc: AccuracyBudget, slope: bool = False
-                 ) -> list:
-    """Relativistic excited |charge| density (or, with ``slope``, its
-    |mu|-derivative) at one (T, a = |mu|) per row, in one batch; a row
-    whose integral fails holds its exception."""
-    moment = _slope_moment if slope else _capacity_moment
-    values = _occupation_rows(3, mass, temperatures, mus, moment, acc)
-    return [v if isinstance(v, Exception)
-            else v / t if slope else -math.expm1(-2.0 * a / t) * v
+                 mass: float, acc: AccuracyBudget) -> list:
+    """Relativistic excited |charge| density at one (T, a = |mu|) per
+    row, in one batch; a row whose integral fails holds its exception."""
+    values = _occupation_rows(3, mass, temperatures, mus, _capacity_moment,
+                              acc)
+    return [v if isinstance(v, Exception) else -math.expm1(-2.0 * a / t) * v
             for v, t, a in zip(values, temperatures, mus)]
 
 
@@ -298,24 +285,22 @@ def charge_density_rel(point: ThermalPoint, mass: float,
 # ----------------------------------------------------------------------
 
 _MAX_ROOT_ITER = 200    # steps of one bracketed root search
+_RESIDUAL_RTOL = 1e-10  # gas-phase mu(T) solves stop at this |residual| / rho
 
 
 def _solve_bracketed(lo: float, hi: float, f_lo: float, f_hi: float, *,
                      x_rtol: float, f_stop: Callable[[float], bool],
-                     guess: float | None = None, slope: bool = False):
-    """Safeguarded bracketed root finder, as a coroutine that yields
-    ("f", x) for the residual at x and, with ``slope``, ("d", x) for the
-    derivative there (or None), and returns the root.
+                     guess: float | None = None):
+    """Safeguarded bracketed secant root finder, as a coroutine that
+    yields each point x whose residual it needs and returns the root.
 
     ``f(lo)`` and ``f(hi)`` must differ in sign.  The first point is
-    ``guess`` when it lies inside the bracket; every later step starts
-    from the latest point, by Newton when the derivative there is finite
-    and nonzero, else by the secant through the two latest points.  A
-    step that leaves the open bracket is replaced by bisection, and so is
-    the step after two in a row that failed to halve the smallest
-    residual seen, which bounds the work on any bracket.  Stops when
-    ``f_stop(residual)`` holds or the bracket shrinks to ``x_rtol``
-    relative width.
+    ``guess`` when it lies inside the bracket; every later step is the
+    secant through the two latest points.  A step that leaves the open
+    bracket is replaced by bisection, and so is the step after two in a
+    row that failed to halve the smallest residual seen, which bounds the
+    work on any bracket.  Stops when ``f_stop(residual)`` holds or the
+    bracket shrinks to ``x_rtol`` relative width.
     """
     if f_stop(f_lo):
         return lo
@@ -327,21 +312,14 @@ def _solve_bracketed(lo: float, hi: float, f_lo: float, f_hi: float, *,
     x_curr, f_curr = hi, f_hi
     best = min(abs(f_lo), abs(f_hi))
     stalls = 0
-    stepped = False
     x_new = guess if guess is not None and lo < guess < hi else None
     for _ in range(_MAX_ROOT_ITER):
-        if x_new is None and stalls < 2:
-            # No slope at the initial bracket ends: they may sit at a
-            # singular end of the domain.
-            d = (yield "d", x_curr) if slope and stepped else None
-            if d is not None and math.isfinite(d) and d != 0.0:
-                x_new = x_curr - f_curr / d
-            elif f_curr != f_prev:
-                x_new = x_curr - f_curr * (x_curr - x_prev) / (f_curr - f_prev)
+        if x_new is None and stalls < 2 and f_curr != f_prev:
+            x_new = x_curr - f_curr * (x_curr - x_prev) / (f_curr - f_prev)
         if x_new is None or not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
             stalls = 0
-        f_new = yield "f", x_new
+        f_new = yield x_new
         if f_stop(f_new):
             return x_new
         if f_lo * f_new <= 0.0:
@@ -353,7 +331,6 @@ def _solve_bracketed(lo: float, hi: float, f_lo: float, f_hi: float, *,
         x_prev, f_prev = x_curr, f_curr
         x_curr, f_curr = x_new, f_new
         x_new = None
-        stepped = True
         if hi - lo <= x_rtol * max(abs(lo), abs(hi), 1e-300):
             return 0.5 * (lo + hi)
     raise ConvergenceError("bracketed root search exhausted its iterations",
@@ -361,11 +338,11 @@ def _solve_bracketed(lo: float, hi: float, f_lo: float, f_hi: float, *,
 
 
 def _solve_one(solve, fn: Callable[[float], float]) -> float:
-    """Drive a slope-free ``_solve_bracketed`` coroutine with ``fn``."""
+    """Drive a ``_solve_bracketed`` coroutine with ``fn``."""
     residual = None
     try:
         while True:
-            residual = fn(solve.send(residual)[1])
+            residual = fn(solve.send(residual))
     except StopIteration as stop:
         return stop.value
 
@@ -401,15 +378,8 @@ def _solver_acc(acc: AccuracyBudget) -> AccuracyBudget:
         max_subdivisions=max(acc.max_subdivisions, 4000))
 
 
-def _slope_acc(acc: AccuracyBudget) -> AccuracyBudget:
-    """Loose budget for d rho / d gap: it only sets the Newton step."""
-    return AccuracyBudget(relative_tolerance=1e-6, max_terms=acc.max_terms,
-                          max_subdivisions=200)
-
-
 def _solve_nr(temperature: float, rho_abs: float, mass: float,
-              acc: AccuracyBudget, residual_rtol: float
-              ) -> tuple[float, float, float, float, Phase]:
+              acc: AccuracyBudget) -> tuple[float, float, float, float, Phase]:
     """Return (gap, |mu|, excited, condensed, phase) for the NR gas.
 
     Warns when the solved gap exceeds the mass: mu = m - gap then breaks
@@ -431,7 +401,7 @@ def _solve_nr(temperature: float, rho_abs: float, mass: float,
 
     v = _solve_one(_solve_bracketed(
         0.0, v_hi, _ZETA_3_2 - target, residual(v_hi), x_rtol=1e-14,
-        f_stop=lambda r: abs(r) <= residual_rtol * target), residual)
+        f_stop=lambda r: abs(r) <= _RESIDUAL_RTOL * target), residual)
     gap = temperature * v * v
     if gap > mass:
         warnings.warn(
@@ -444,23 +414,22 @@ def _solve_nr(temperature: float, rho_abs: float, mass: float,
 
 def _rel_row(rho_abs: float, mass: float, residual_rtol: float):
     """Relativistic mu(T) solve of one row, as a coroutine that yields
-    ("f", a) for the excited density at |mu| = a and ("d", a) for d rho /
-    d|mu| (None if that failed), and returns (gap, |mu|, excited,
-    condensed, phase).
+    each a = |mu| at which it needs the excited density and returns
+    (gap, |mu|, excited, condensed, phase).
 
     The first request is the capacity (a = m); below rho the row is
-    condensed.  In the gas, Newton in u = sqrt(gap), safeguarded by the
-    bracket from u ~ 0 (capacity - rho) to u = sqrt(m) (mu = 0, residual
-    -rho).  It starts where the chord between the bracket ends crosses
-    zero in the gap: rho is convex in the gap, so that start lies above
-    the root, and close to it wherever rho is near-linear in the gap (all
-    but a thin layer just above T_C).
+    condensed.  In the gas, the secant solve in u = sqrt(gap), safeguarded
+    by the bracket from u ~ 0 (capacity - rho) to u = sqrt(m) (mu = 0,
+    residual -rho).  It starts where the chord between the bracket ends
+    crosses zero in the gap: rho is convex in the gap, so that start lies
+    above the root, and close to it wherever rho is near-linear in the gap
+    (all but a thin layer just above T_C).
 
     m - u^2 resolves |mu| only to ~1e-14 m.  rho is convex in |mu|, so
     a_low = m rho / capacity bounds the root from below; below _SMALL_MU m
     (far above T_C) the same solve runs in |mu| on [0, m] from a_low.
     """
-    capacity = yield "f", mass
+    capacity = yield mass
     if capacity <= rho_abs:
         return 0.0, mass, capacity, rho_abs - capacity, Phase.CONDENSED
     a_low = mass * rho_abs / capacity
@@ -472,21 +441,17 @@ def _rel_row(rho_abs: float, mass: float, residual_rtol: float):
                    capacity - rho_abs, -rho_abs)
         guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
     solve = _solve_bracketed(
-        *bracket, x_rtol=1e-14, guess=guess, slope=True,
+        *bracket, x_rtol=1e-14, guess=guess,
         f_stop=lambda r: abs(r) <= residual_rtol * rho_abs)
     reply = None
     while True:
         try:
-            kind, x = solve.send(reply)
+            x = solve.send(reply)
         except StopIteration as stop:
             x = stop.value
             gap, a = (mass - x, x) if in_mu else (x * x, mass - x * x)
             return gap, a, rho_abs, 0.0, Phase.GAS
-        value = yield kind, x if in_mu else mass - x * x
-        if kind == "f":
-            reply = value - rho_abs
-        else:
-            reply = value if in_mu or value is None else -2.0 * x * value
+        reply = (yield x if in_mu else mass - x * x) - rho_abs
 
 
 def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
@@ -496,12 +461,10 @@ def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
     exception its row raised, all rows solved in lockstep.
 
     The rows run their ``_rel_row`` solves in lockstep: a batched
-    capacity pass, then rounds that take one batched density integral for
-    the residual requests and one batched slope integral, at a loose
-    fixed budget, for the slope requests (a row whose slope fails steps
-    by the secant).
+    capacity pass, then one batched density integral per round over every
+    row still solving.
     """
-    q_acc, s_acc = _solver_acc(acc), _slope_acc(acc)
+    q_acc = _solver_acc(acc)
     out: list = [None] * len(temperatures)
     solves = [_rel_row(rho_abs, mass, residual_rtol) for _ in temperatures]
     pending: dict = {}
@@ -518,20 +481,13 @@ def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
         advance(i, None)
     while pending:
         requests, pending = pending, {}
-        for kind, budget in (("f", q_acc), ("d", s_acc)):
-            rows = [i for i, (k, _) in requests.items() if k == kind]
-            if not rows:
-                continue
-            values = _charge_rows([temperatures[i] for i in rows],
-                                  [requests[i][1] for i in rows], mass,
-                                  budget, slope=kind == "d")
-            for i, value in zip(rows, values):
-                if not isinstance(value, Exception):
-                    advance(i, value)
-                elif kind == "d":
-                    advance(i, None)    # no slope: a secant step
-                else:
-                    out[i] = value
+        values = _charge_rows([temperatures[i] for i in requests],
+                              list(requests.values()), mass, q_acc)
+        for i, value in zip(requests, values):
+            if isinstance(value, Exception):
+                out[i] = value
+            else:
+                advance(i, value)
     return out
 
 
@@ -544,8 +500,7 @@ def _caught(fn: Callable, *args):
 
 
 def _solve_states(temperatures: Sequence[float], charge: ChargeSpec,
-                  mass: float, acc: AccuracyBudget,
-                  residual_rtol: float = 1e-10) -> list:
+                  mass: float, acc: AccuracyBudget) -> list:
     """Solved state per temperature, or the exception its row raised.
 
     Every temperature is checked before any integral, so a bad one fails
@@ -562,10 +517,9 @@ def _solve_states(temperatures: Sequence[float], charge: ChargeSpec,
     if regime is Regime.NON_RELATIVISTIC:
         solved = []
         for t in temps:
-            solved.append(_caught(_solve_nr, t, rho_abs, mass, acc,
-                                  residual_rtol))
+            solved.append(_caught(_solve_nr, t, rho_abs, mass, acc))
     else:
-        solved = _solve_rel_rows(temps, rho_abs, mass, acc, residual_rtol)
+        solved = _solve_rel_rows(temps, rho_abs, mass, acc, _RESIDUAL_RTOL)
     for i, t, row in zip(valid, temps, solved):
         out[i] = row if isinstance(row, Exception) else CondensateState(
             temperature=t,
@@ -580,12 +534,12 @@ def _solve_states(temperatures: Sequence[float], charge: ChargeSpec,
 
 def solve_chemical_potential(temperature: float, charge: ChargeSpec,
                              mass: float,
-                             acc: AccuracyBudget = DEFAULT_BUDGET,
-                             residual_rtol: float = 1e-10) -> CondensateState:
+                             acc: AccuracyBudget = DEFAULT_BUDGET
+                             ) -> CondensateState:
     """Solve mu(T) at fixed charge density; condensed below capacity.
 
     In the gas phase the returned chemical potential reproduces the charge
-    density to ``residual_rtol`` (relative); in the condensed phase
+    density to 1e-10 (relative); in the condensed phase
     ``|mu| = m`` exactly and the charge excess sits in the condensate.
     A non-relativistic gas state whose gap exceeds the mass breaks
     ``|mu| <= m``; it is returned with a ``UserWarning``.  This is a sweep
@@ -593,7 +547,7 @@ def solve_chemical_potential(temperature: float, charge: ChargeSpec,
     """
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be positive, got {mass!r}")
-    (state,) = _solve_states([temperature], charge, mass, acc, residual_rtol)
+    (state,) = _solve_states([temperature], charge, mass, acc)
     if isinstance(state, Exception):
         raise state
     return state
@@ -699,8 +653,10 @@ def mutual_info_at_fixed_charge(params: ModelParams, geometry: Geometry,
     """
     _validate_fixed_charge_model(params)
     regime = _resolve_regime(charge, params.mass)
-    state = solve_chemical_potential(
-        temperature, ChargeSpec(charge.density, regime), params.mass, acc)
+    (state,) = _solve_states([temperature], ChargeSpec(charge.density, regime),
+                             params.mass, acc)
+    if isinstance(state, Exception):
+        raise state
     (report,) = _reports(params, geometry, [state], regime, acc)
     if isinstance(report, Exception):
         raise report

@@ -229,12 +229,16 @@ class TestSolveChemicalPotential:
         assert rel(state.mu, expected) < 1e-6
 
     def test_nr_gap_above_mass_warns(self):
-        # T = 1e6 m: the NR gas solution has m - |mu| ~ 1.8e7 m
-        with pytest.warns(UserWarning, match=r"\|mu\| > m"):
+        # T = 1e6 m: the NR gas solution has m - |mu| ~ 1.8e7 m.  Every
+        # public entry point warns at its caller's line, here in this file.
+        with pytest.warns(UserWarning, match=r"\|mu\| > m") as record:
             state = solve_chemical_potential(1.0e6, nr_charge(), 1.0)
-        assert state.mu < -1.0
-        with pytest.warns(UserWarning, match=r"\|mu\| > m"):
             table = sweep(charged_params(), GEO, nr_charge(), [1.0e6])
+            mutual_info_at_fixed_charge(charged_params(), GEO, 1.0e6,
+                                        nr_charge())
+        assert len(record) == 3
+        assert all(w.filename == __file__ for w in record)
+        assert state.mu < -1.0
         assert table.rows[0].mu == state.mu
         # a dilute NR gas just above T_C stays well inside |mu| <= m
         with warnings.catch_warnings():
@@ -534,6 +538,15 @@ class TestRootSolveWork:
                                self.CLI_ACC)
         assert integrals[0] <= 8
         assert gk15_panels[0] <= 600
+
+    def test_rel_chebyshev_slopes_dilute(self, integrals):
+        # rho = 1e-5: T_C = 1.5e-3 m, 2m/T ~ 1,300; 15 report integrals
+        # plus the 7 gas rows' tight (3e-13) mu(T) solve
+        tc = critical_temperature(rel_charge(1.0e-5), 1.0, self.CLI_ACC)
+        integrals[0] = 0
+        _chebyshev_slopes(charged_params(), GEO, rel_charge(1.0e-5), tc,
+                          self.CLI_ACC)
+        assert integrals[0] <= 350
 
     @pytest.mark.parametrize("temp,gap", [(170.0, 1e-4), (300.0, 0.0),
                                           (1000.0, 0.1), (20.0, 1e-8)])
