@@ -26,12 +26,13 @@ in a row fail to halve the residual.  The gas-phase unknown is
 :math:`\mu`.  Far above :math:`T_C`, where :math:`|\mu| \ll m` and
 :math:`m - u^2` cannot resolve it, the relativistic unknown is
 :math:`|\mu|` itself.  :math:`T_C` and non-relativistic rows drive the
-solver one row at a time.  A relativistic :func:`sweep` runs its rows in
-lockstep: one batched capacity pass, one secant solve over all gas rows,
-each from its own chord start, with one batched residual integral per
-round, and one batched pass per report moment.  Every batched
-integral refines each row on its own (``_integrate_radial_rows``),
-so a row's bytes do not depend on the rows swept with it;
+solver one row at a time.  A relativistic :func:`sweep` solves its rows
+in one loop (``_solve_rel_rows``): a batched capacity pass condenses
+some, each gas row drives its own solver from its own chord start, and
+one batched density integral per round answers every open row; the
+reports take one batched pass per moment.  Every batched integral
+refines each row on its own (``_integrate_radial_rows``), so a row's
+bytes do not depend on the rows swept with it;
 ``solve_chemical_potential`` and ``mutual_info_at_fixed_charge`` are
 sweeps of one row.  Nothing is cached between calls.
 
@@ -100,7 +101,7 @@ _AUTO_NR_MAX = 0.1
 _AUTO_REL_MIN = 10.0
 
 # The relativistic gas solve runs in |mu| instead of sqrt(m - |mu|) when
-# the root's lower bound lies below this fraction of m (see _rel_row).
+# the root's lower bound lies below this fraction of m (_solve_rel_rows).
 _SMALL_MU = 1e-3
 
 
@@ -412,82 +413,68 @@ def _solve_nr(temperature: float, rho_abs: float, mass: float,
     return gap, mass - gap, rho_abs, 0.0, Phase.GAS
 
 
-def _rel_row(rho_abs: float, mass: float, residual_rtol: float):
-    """Relativistic mu(T) solve of one row, as a coroutine that yields
-    each a = |mu| at which it needs the excited density and returns
-    (gap, |mu|, excited, condensed, phase).
+def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
+                    mass: float, acc: AccuracyBudget, residual_rtol: float
+                    ) -> list:
+    """(gap, |mu|, excited, condensed, phase) per temperature, or the
+    exception its row raised.
 
-    The first request is the capacity (a = m); below rho the row is
-    condensed.  In the gas, the secant solve in u = sqrt(gap), safeguarded
-    by the bracket from u ~ 0 (capacity - rho) to u = sqrt(m) (mu = 0,
-    residual -rho).  It starts where the chord between the bracket ends
-    crosses zero in the gap: rho is convex in the gap, so that start lies
-    above the root, and close to it wherever rho is near-linear in the gap
-    (all but a thin layer just above T_C).
+    A batched capacity pass (a = m) condenses every row whose capacity is
+    at most rho; each gas row then runs its own ``_solve_bracketed``, and
+    one batched density integral per round answers every open row.  The
+    unknown is u = sqrt(gap), bracketed from u ~ 0 (capacity - rho) to
+    u = sqrt(m) (mu = 0, -rho) and started where the chord between the
+    bracket ends crosses zero in the gap: rho is convex in the gap, so
+    that start lies above the root, and close to it wherever rho is
+    near-linear in the gap (all but a thin layer just above T_C).
 
     m - u^2 resolves |mu| only to ~1e-14 m.  rho is convex in |mu|, so
     a_low = m rho / capacity bounds the root from below; below _SMALL_MU m
     (far above T_C) the same solve runs in |mu| on [0, m] from a_low.
     """
-    capacity = yield mass
-    if capacity <= rho_abs:
-        return 0.0, mass, capacity, rho_abs - capacity, Phase.CONDENSED
-    a_low = mass * rho_abs / capacity
-    in_mu = a_low < _SMALL_MU * mass
-    if in_mu:
-        bracket, guess = (0.0, mass, -rho_abs, capacity - rho_abs), a_low
-    else:
-        bracket = (math.sqrt(1e-30 * mass), math.sqrt(mass),
-                   capacity - rho_abs, -rho_abs)
-        guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
-    solve = _solve_bracketed(
-        *bracket, x_rtol=1e-14, guess=guess,
-        f_stop=lambda r: abs(r) <= residual_rtol * rho_abs)
-    reply = None
-    while True:
-        try:
-            x = solve.send(reply)
-        except StopIteration as stop:
-            x = stop.value
-            gap, a = (mass - x, x) if in_mu else (x * x, mass - x * x)
-            return gap, a, rho_abs, 0.0, Phase.GAS
-        reply = (yield x if in_mu else mass - x * x) - rho_abs
-
-
-def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
-                    mass: float, acc: AccuracyBudget, residual_rtol: float
-                    ) -> list:
-    """(gap, |mu|, excited, condensed, phase) per temperature, or the
-    exception its row raised, all rows solved in lockstep.
-
-    The rows run their ``_rel_row`` solves in lockstep: a batched
-    capacity pass, then one batched density integral per round over every
-    row still solving.
-    """
     q_acc = _solver_acc(acc)
-    out: list = [None] * len(temperatures)
-    solves = [_rel_row(rho_abs, mass, residual_rtol) for _ in temperatures]
-    pending: dict = {}
-
-    def advance(i: int, reply) -> None:
-        try:
-            pending[i] = solves[i].send(reply)
-        except StopIteration as stop:
-            out[i] = stop.value
-        except (ValueError, ConvergenceError) as exc:
-            out[i] = exc
-
-    for i in range(len(solves)):
-        advance(i, None)
-    while pending:
-        requests, pending = pending, {}
-        values = _charge_rows([temperatures[i] for i in requests],
-                              list(requests.values()), mass, q_acc)
-        for i, value in zip(requests, values):
+    out = _charge_rows(temperatures, [mass] * len(temperatures), mass, q_acc)
+    solves: dict = {}       # gas row -> (solves in |mu|, its coroutine)
+    for i, capacity in enumerate(out):
+        if isinstance(capacity, Exception):
+            continue
+        if capacity <= rho_abs:
+            out[i] = (0.0, mass, capacity, rho_abs - capacity, Phase.CONDENSED)
+            continue
+        a_low = mass * rho_abs / capacity
+        in_mu = a_low < _SMALL_MU * mass
+        if in_mu:
+            bracket, guess = (0.0, mass, -rho_abs, capacity - rho_abs), a_low
+        else:
+            bracket = (math.sqrt(1e-30 * mass), math.sqrt(mass),
+                       capacity - rho_abs, -rho_abs)
+            guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
+        solves[i] = in_mu, _solve_bracketed(
+            *bracket, x_rtol=1e-14, guess=guess,
+            f_stop=lambda r: abs(r) <= residual_rtol * rho_abs)
+    replies = dict.fromkeys(solves)     # open row -> its last residual
+    while replies:
+        points: dict = {}   # open row -> the |mu| its solve asks for
+        for i, reply in replies.items():
+            in_mu, solve = solves[i]
+            try:
+                x = solve.send(reply)
+            except StopIteration as stop:
+                x = stop.value
+                out[i] = ((mass - x, x) if in_mu else (x * x, mass - x * x)) \
+                    + (rho_abs, 0.0, Phase.GAS)
+            except (ValueError, ConvergenceError) as exc:
+                out[i] = exc
+            else:
+                points[i] = x if in_mu else mass - x * x
+        values = _charge_rows([temperatures[i] for i in points],
+                              list(points.values()), mass, q_acc)
+        replies = {}
+        for i, value in zip(points, values):
             if isinstance(value, Exception):
                 out[i] = value
             else:
-                advance(i, value)
+                replies[i] = value - rho_abs
     return out
 
 
@@ -539,8 +526,10 @@ def solve_chemical_potential(temperature: float, charge: ChargeSpec,
     """Solve mu(T) at fixed charge density; condensed below capacity.
 
     In the gas phase the returned chemical potential reproduces the charge
-    density to 1e-10 (relative); in the condensed phase
-    ``|mu| = m`` exactly and the charge excess sits in the condensate.
+    density to 1e-10 (relative) where the doubles next to ``|mu|`` resolve
+    that; just above a T_C << m, ``|mu|`` is a few ulps below m (at rho =
+    1e-8, T = T_C (1 + 1e-9), mu misses rho by 3.6e-6).  In the condensed
+    phase ``|mu| = m`` exactly and the charge excess sits in the condensate.
     A non-relativistic gas state whose gap exceeds the mass breaks
     ``|mu| <= m``; it is returned with a ``UserWarning``.  This is a sweep
     of one row, so it gives the bytes of that row in any sweep.

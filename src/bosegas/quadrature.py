@@ -17,7 +17,9 @@ decay length; see ``RadialIntegralSpec.tail_scale``).  The integrand is
 called with 1-D arrays whose length is a multiple of 15 (the nodes of one
 or more panels at once), never with a float, and returns values of the
 same shape or a scalar, which broadcasts.  One that rejects arrays raises
-its own error; an output of any other shape raises ``ValueError``.
+its own error; an output of any other shape raises ``ValueError``, and so
+does a non-finite value, overflow included: each integral runs under
+``np.errstate`` that ignores it, and the error names the node's radius p.
 
 One adaptive loop, the ``_adaptive`` coroutine, holds the GK15 heap and
 asks for the panels it needs; two routes run it.  ``integrate_radial``
@@ -107,7 +109,7 @@ _Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 def _gk15_batch(f: _Integrand, spans: Sequence[tuple[float, float]],
-                where: str) -> list[tuple[float, float]]:
+                to_p: Callable) -> list[tuple[float, float]]:
     """Gauss7/Kronrod15 on each (a, b) of ``spans``, from one call of ``f``.
 
     Returns one (integral, error estimate) per panel.  Each panel's pair
@@ -120,9 +122,9 @@ def _gk15_batch(f: _Integrand, spans: Sequence[tuple[float, float]],
           + np.array(halves)[:, None] * _XGK).ravel()
     ys = f(xs)
     if not np.isfinite(ys).all():
-        bad = xs[~np.isfinite(ys)][0]
+        p = to_p(xs[~np.isfinite(ys)][0])
         raise ValueError(
-            f"integrand returned a non-finite value at {where} = {bad!r}")
+            f"integrand returned a non-finite value at p = {float(p)!r}")
     out = []
     for half, y in zip(halves, ys.reshape(-1, 15)):
         resk = float(_WGK @ y)
@@ -277,6 +279,7 @@ def integrate_radial(spec: RadialIntegralSpec) -> float:
     return value
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _integrate_radial_report(spec: RadialIntegralSpec) -> tuple[float, float]:
     """integrate_radial plus the achieved absolute error estimate."""
     power = spec.dimension - 1
@@ -292,18 +295,21 @@ def _integrate_radial_report(spec: RadialIntegralSpec) -> tuple[float, float]:
                              f"nodes of shape {ps.shape}")
         return ys * ps ** power
 
-    def tail(us: np.ndarray) -> np.ndarray:
-        ps = p_last - scale * np.log(us)
-        return radial(ps) * (scale / us)
+    def tail_p(us):
+        return p_last - scale * np.log(us)
 
-    kinds = (radial, tail)
+    def tail(us: np.ndarray) -> np.ndarray:
+        return radial(tail_p(us)) * (scale / us)
+
+    kinds = ((radial, float), (tail, tail_p))   # (integrand, node -> p)
     run = _adaptive([list(zip(breaks[:-1], breaks[1:])), [(0.0, 1.0)]],
                     spec.accuracy, "p")
     angular = _solid_angle(spec.dimension)
     try:
         kind, panels = next(run)
         while True:
-            kind, panels = run.send(_gk15_batch(kinds[kind], panels, "p"))
+            f, to_p = kinds[kind]
+            kind, panels = run.send(_gk15_batch(f, panels, to_p))
     except StopIteration as stop:
         value, err = stop.value
     except QuadratureError as exc:
@@ -317,16 +323,16 @@ def _gk15_tagged(f: Callable, los: np.ndarray, his: np.ndarray,
     """GK15 on panels [lo, hi] of several rows from one call ``f(xs,
     tags)``, with 15 nodes per panel in ``xs`` and the panels' rows in
     ``tags`` (shape (panels, 1)).  Returns the nodes, the mask of finite
-    values (tested first; others reduce as 0, so nothing warns) and each
-    panel's integral and error."""
+    values and each panel's integral and error (not finite where the
+    panel's values are not)."""
     halves = 0.5 * (his - los)
     xs = (0.5 * (los + his))[:, None] + halves[:, None] * _XGK
     ys = f(xs, rows[:, None])
-    finite = np.isfinite(ys)
-    resk, err = _gk15_reduce(np.where(finite, ys, 0.0))
-    return xs, finite, resk * halves, err * halves
+    resk, err = _gk15_reduce(ys)
+    return xs, np.isfinite(ys), resk * halves, err * halves
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _integrate_radial_rows(dimension: int, integrand: Callable,
                            grids: Sequence[tuple[tuple[float, ...], float]],
                            acc: AccuracyBudget) -> list:
@@ -344,10 +350,13 @@ def _integrate_radial_rows(dimension: int, integrand: Callable,
     def radial(ps: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return integrand(ps, rows) * ps ** power
 
-    def tail(us: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        ps = p_last[rows] - scale[rows] * np.log(us)
-        return radial(ps, rows) * (scale[rows] / us)
+    def tail_p(us, rows):
+        return p_last[rows] - scale[rows] * np.log(us)
 
+    def tail(us: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return radial(tail_p(us, rows), rows) * (scale[rows] / us)
+
+    kinds = ((radial, lambda x, _row: x), (tail, tail_p))  # node -> p
     out: list = [None] * len(grids)
     runs = [_adaptive([list(zip(b[:-1], b[1:])), [(0.0, 1.0)]], acc, "p")
             for b in breaks]
@@ -355,7 +364,7 @@ def _integrate_radial_rows(dimension: int, integrand: Callable,
     while pending:
         replies: dict[int, list] = {}
         bad: dict[int, float] = {}
-        for kind, f in enumerate((radial, tail)):
+        for kind, (f, to_p) in enumerate(kinds):
             owned = [(i, panels) for i, (k, panels) in pending.items()
                      if k == kind]
             if not owned:
@@ -371,13 +380,14 @@ def _integrate_radial_rows(dimension: int, integrand: Callable,
                 replies[i] = pairs[start:start + len(panels)]
                 start += len(panels)
             for j in np.flatnonzero(~finite.all(axis=1)):
-                bad.setdefault(int(tags[j]), xs[j][~finite[j]][0])
+                bad.setdefault(int(tags[j]),
+                               to_p(xs[j][~finite[j]][0], tags[j]))
         pending = {}
         for i, reply in replies.items():
             try:
                 if i in bad:
                     out[i] = ValueError("integrand returned a non-finite "
-                                        f"value at p = {bad[i]!r}")
+                                        f"value at p = {float(bad[i])!r}")
                 else:
                     pending[i] = runs[i].send(reply)
             except StopIteration as stop:

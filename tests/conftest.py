@@ -18,9 +18,9 @@ def gk15_panels(monkeypatch):
     single = quadrature._gk15_batch
     tagged = quadrature._gk15_tagged
 
-    def counted(f, spans, where):
+    def counted(f, spans, to_p):
         panels[0] += len(spans)
-        return single(f, spans, where)
+        return single(f, spans, to_p)
 
     def counted_rows(f, los, his, rows):
         panels[0] += len(los)

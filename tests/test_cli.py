@@ -254,6 +254,23 @@ class TestMuSolve:
         assert tables[0] == tables[1]
 
 
+    def test_negative_density_joined_to_its_flag(self, capsys):
+        # --charge-density=-1e4: a separate "-1e4" would parse as a flag
+        grid = ["--regime", "rel", "--tmin", "150", "--tmax", "250",
+                "--points", "3"]
+        tables = []
+        for density in ("--charge-density=1e4", "--charge-density=-1e4"):
+            code, out = run(capsys, ["mu-solve", density, *grid])
+            assert code == 0
+            _, columns, rows = parse_csv(out)
+            tables.append([dict(zip(columns, r)) for r in rows])
+        positive, negative = tables
+        assert len(negative) == 3
+        for pos, neg in zip(positive, negative):
+            assert float(neg.pop("mu")) == -float(pos.pop("mu"))
+            assert neg == pos
+
+
 class TestTc:
     def test_requires_charge(self, capsys):
         assert main(["tc"]) == 2
@@ -453,6 +470,22 @@ class TestNumericFailures:
         lines = out.strip().splitlines()
         assert lines[-1] == "2,nan,nan,nan,nan,,no root; at T = 2"
         assert lines[-2].endswith(",")            # the good row, no error
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--tmin", "1e150"],
+        ["entropy", "--mass", "1e-300"],
+        ["mutual-info", "--charge-density", "1e4", "--regime", "rel",
+         "--tmin", "1e300"],
+    ])
+    def test_overflowing_integrand_is_a_row_error(self, capsys, argv):
+        # an overflow or a division by zero inside the integrand fails the
+        # row as a non-finite value, with no RuntimeWarning on the way
+        assert main([*argv, "--points", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _, columns, rows = parse_csv(captured.out)
+        assert dict(zip(columns, rows[0]))["error"].startswith(
+            "integrand returned a non-finite value at p = ")
 
     def test_critical_temperature_failure(self, capsys, monkeypatch):
         def failing(*args):

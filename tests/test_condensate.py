@@ -598,6 +598,24 @@ class TestLockstepSweep:
         assert rep.boundary_thermal_part == \
             table.rows[-1].boundary_thermal_part
 
+    def test_rows_on_both_sides_of_the_small_mu_switch(self):
+        # At rho = 1 a row solves in |mu| instead of sqrt(m - |mu|) once
+        # a_low = m rho / capacity < 1e-3 m, near T = 55 m; the sweep
+        # covers both unknowns, and each row is its one-point sweep.
+        charge = rel_charge(1.0)
+        tc = critical_temperature(charge, 1.0, self.ACC)
+        temps = [40.0, 50.0, 54.0, 56.0, 60.0, 70.0, 80.0]
+        tight = AccuracyBudget(relative_tolerance=1e-12)
+        capacities = condensate._charge_rows(temps, [1.0] * len(temps),
+                                             1.0, tight)
+        assert min(capacities) < 1e3 < max(capacities)
+        table = sweep(charged_params(), GEO, charge, temps, self.ACC, tc=tc)
+        for t, row in zip(temps, table.rows):
+            assert row.error is None
+            assert repr(row) == repr(self.one_row(t, charge, tc))
+            density = charge_density_rel(ThermalPoint(t, row.mu), 1.0, tight)
+            assert abs(density - 1.0) <= 1e-9
+
     def test_property_states_and_rows(self):
         # over drawn densities of either sign and temperatures about T_C:
         # every gas or condensed state keeps |mu| <= m, and every row,

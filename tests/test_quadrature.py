@@ -219,6 +219,24 @@ class TestIntegrateRadial:
         with pytest.raises(ValueError, match="non-finite"):
             integrate_radial(spec)
 
+    @pytest.mark.parametrize("route", ["single", "rows"])
+    def test_non_finite_node_is_reported_as_a_plain_radius(self, route):
+        # No breakpoints: the only panel is the tail, whose nodes are u in
+        # (0, 1) with p = -2 ln u, so the first bad node has u < e^-5.
+        def f(p):
+            return np.where(p > 10.0, np.inf, np.exp(-p))
+        if route == "single":
+            with pytest.raises(ValueError) as excinfo:
+                integrate_radial(RadialIntegralSpec(
+                    dimension=1, integrand=f, tail_scale=2.0))
+            error = excinfo.value
+        else:
+            (error,) = quadrature._integrate_radial_rows(
+                1, lambda ps, _rows: f(ps), [((), 2.0)], DEFAULT_BUDGET)
+        prefix = "integrand returned a non-finite value at p = "
+        assert str(error).startswith(prefix)
+        assert float(str(error)[len(prefix):]) > 10.0
+
 
 def gk15_one_panel(f, a, b):
     """The Gauss-Kronrod rule on one panel from its own call of ``f``: the
@@ -241,7 +259,7 @@ class TestBatchedPanels:
             return p * p / np.expm1(np.sqrt(p * p + 1.0) / 0.7)
         spans = [(0.0, 0.3), (0.3, 1.0), (1.0, 10.0), (10.0, 10.5),
                  (1e-9, 2e-9)]
-        got = quadrature._gk15_batch(profile, spans, "p")
+        got = quadrature._gk15_batch(profile, spans, float)
         assert got == [gk15_one_panel(profile, a, b) for a, b in spans]
 
     @pytest.mark.parametrize("points", [(), (0.5, 2.0, 7.0)])

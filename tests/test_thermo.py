@@ -267,6 +267,13 @@ class TestOccupationHelperEdges:
         assert np.isfinite(got).all() and (got[:3] > 0.0).all()
 
 
+    def test_overflowing_integrand_fails_as_non_finite(self):
+        # At T = 1e150 the measure product overflows; the integral fails
+        # through its finiteness check, not with a RuntimeWarning.
+        with pytest.raises(ValueError, match="non-finite"):
+            mutual_info_neutral(neutral(), GEO, ThermalPoint(1e150))
+
+
 class TestMatsubaraRoute:
     def test_charged_agrees(self):
         params = charged()
