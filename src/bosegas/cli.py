@@ -191,8 +191,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                              f"{setting.choices}, got {value!r}")
     if config.points < 1:
         raise ValueError(f"grid.points must be >= 1, got {config.points}")
-    if not (config.tmin > 0.0 and config.tmax > 0.0):
-        raise ValueError("grid bounds must be positive")
+    if not all(0.0 < t < float("inf") for t in (config.tmin, config.tmax)):
+        raise ValueError("grid bounds must be positive and finite")
     if config.points > 1 and not config.tmax > config.tmin:
         raise ValueError("grid.tmax must exceed grid.tmin for points > 1")
     return config

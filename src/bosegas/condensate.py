@@ -431,6 +431,8 @@ def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
     m - u^2 resolves |mu| only to ~1e-14 m.  rho is convex in |mu|, so
     a_low = m rho / capacity bounds the root from below; below _SMALL_MU m
     (far above T_C) the same solve runs in |mu| on [0, m] from a_low.
+    Just above a T_C << m, m - u^2 can round to one double next to m
+    over the whole bracket: a row ends once its |mu| repeats.
     """
     q_acc = _solver_acc(acc)
     out = _charge_rows(temperatures, [mass] * len(temperatures), mass, q_acc)
@@ -452,21 +454,27 @@ def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
         solves[i] = in_mu, _solve_bracketed(
             *bracket, x_rtol=1e-14, guess=guess,
             f_stop=lambda r: abs(r) <= residual_rtol * rho_abs)
-    replies = dict.fromkeys(solves)     # open row -> its last residual
+    # open row -> its last residual and the |mu| that residual is at
+    replies = dict.fromkeys(solves, (None, None))
     while replies:
         points: dict = {}   # open row -> the |mu| its solve asks for
-        for i, reply in replies.items():
+        for i, (reply, last) in replies.items():
             in_mu, solve = solves[i]
             try:
                 x = solve.send(reply)
             except StopIteration as stop:
                 x = stop.value
-                out[i] = ((mass - x, x) if in_mu else (x * x, mass - x * x)) \
-                    + (rho_abs, 0.0, Phase.GAS)
             except (ValueError, ConvergenceError) as exc:
                 out[i] = exc
+                continue
             else:
-                points[i] = x if in_mu else mass - x * x
+                a = x if in_mu else mass - x * x
+                if a != last:
+                    points[i] = a
+                    continue
+                solve.close()           # its |mu| has stopped moving
+            out[i] = ((mass - x, x) if in_mu else (x * x, mass - x * x)) \
+                + (rho_abs, 0.0, Phase.GAS)
         values = _charge_rows([temperatures[i] for i in points],
                               list(points.values()), mass, q_acc)
         replies = {}
@@ -474,7 +482,7 @@ def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
             if isinstance(value, Exception):
                 out[i] = value
             else:
-                replies[i] = value - rho_abs
+                replies[i] = value - rho_abs, points[i]
     return out
 
 
@@ -527,9 +535,10 @@ def solve_chemical_potential(temperature: float, charge: ChargeSpec,
 
     In the gas phase the returned chemical potential reproduces the charge
     density to 1e-10 (relative) where the doubles next to ``|mu|`` resolve
-    that; just above a T_C << m, ``|mu|`` is a few ulps below m (at rho =
-    1e-8, T = T_C (1 + 1e-9), mu misses rho by 3.6e-6).  In the condensed
-    phase ``|mu| = m`` exactly and the charge excess sits in the condensate.
+    that; just above a T_C << m, ``|mu|`` is m or a few ulps below it (at
+    rho = 1e-8, T = T_C (1 + 1e-6), mu = m misses rho by 1.5e-6 and the
+    double below m by 2.2e-6).  In the condensed phase ``|mu| = m``
+    exactly and the charge excess sits in the condensate.
     A non-relativistic gas state whose gap exceeds the mass breaks
     ``|mu| <= m``; it is returned with a ``UserWarning``.  This is a sweep
     of one row, so it gives the bytes of that row in any sweep.

@@ -12,11 +12,11 @@ tables fill numpy arrays:
   lattices, and by Lentz continued fraction or lower-series complement for
   generic ``a``.  This is the regulator shape used for ultraviolet-cut
   vacuum pieces, so small ``x`` must be exact.
-* ``bessel_i`` / ``bessel_i_scaled`` (modified, first kind) and
-  ``bessel_j`` (first kind), each one rung of a private table of the
-  orders ``f, f+1, ...`` at every argument, ``f`` and the number of
-  orders given per argument (``_bessel_i_scaled_ladder``,
-  ``_bessel_j_ladder``).  I: one array kernel at order ``f`` (the
+* private tables of the Bessel functions ``e^{-x} I`` (modified, first
+  kind) and ``J`` (first kind) at the orders ``f, f+1, ...`` at every
+  argument, ``f`` and the number of orders given per argument
+  (``_bessel_i_scaled_ladder``, ``_bessel_j_ladder``), which the oracles'
+  order sums read.  I: one array kernel at order ``f`` (the
   ascending series below ``x = 20``, Hankel's expansion from there) and
   one downward ratio recurrence, within 1e-13 (relative) of 30-digit
   references; J: the ascending series, Hankel's expansion with the upward
@@ -41,9 +41,6 @@ __all__ = [
     "AccuracyBudget",
     "DEFAULT_BUDGET",
     "EULER_GAMMA",
-    "bessel_i",
-    "bessel_i_scaled",
-    "bessel_j",
     "gamma_upper",
     "polylog",
     "zeta",
@@ -67,7 +64,6 @@ _MAX_SERIES_TERMS = 200_000
 _LATTICE_TOL = 1e-12      # snap tolerance for integer / half-integer orders
 _NU_MAX = 256.0           # Bessel order cap
 _X_MAX = 1.0e4            # Bessel argument cap
-_EXP_OVERFLOW = 709.0     # exp() overflows just above this
 _I_HANKEL_MIN_X = 20.0    # Hankel's e^{-2x} companion is below 4e-18 here
 
 
@@ -353,13 +349,6 @@ def gamma_upper(a: float, x: float) -> float:
 # Modified Bessel I_nu, first kind, nu >= 0, x >= 0
 # ----------------------------------------------------------------------
 
-def _validate_bessel(nu: float, x: float) -> None:
-    if not 0.0 <= nu <= _NU_MAX:
-        raise ValueError(f"Bessel order must lie in [0, {_NU_MAX}], got {nu!r}")
-    if not 0.0 <= x <= _X_MAX:
-        raise ValueError(f"Bessel argument must lie in [0, {_X_MAX}], got {x!r}")
-
-
 def _validate_ladder(f, count, xs):
     """``f``, ``count``, ``xs`` as arrays shaped like ``xs``, once every ``f``
     is in [0, 1), every count >= 1 and all orders and arguments in range."""
@@ -370,15 +359,9 @@ def _validate_ladder(f, count, xs):
         raise ValueError(f"a ladder needs f in [0, 1), count >= 1 and f + "
                          f"count - 1 <= {_NU_MAX}, got {f!r} and {count!r}")
     if not (xs.min(initial=0.0) >= 0.0 and xs.max(initial=0.0) <= _X_MAX):
-        _validate_bessel(0.0, float(xs[~((xs >= 0.0) & (xs <= _X_MAX))][0]))
+        raise ValueError(f"Bessel argument must lie in [0, {_X_MAX}], got "
+                         f"{float(xs[~((xs >= 0.0) & (xs <= _X_MAX))][0])!r}")
     return fs, counts, xs
-
-
-def _ladder_rung(ladder, nu: float, x: float) -> float:
-    """Rung ``floor(nu)`` of the ``ladder`` of ``nu``'s fraction, at ``x``."""
-    _validate_bessel(nu, x)
-    m = math.floor(nu)
-    return float(ladder(nu - m, m + 1, np.array([x]))[m, 0])
 
 
 def _hankel_terms(mu: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -466,31 +449,6 @@ def _bessel_i_scaled_ladder(f, count, xs) -> np.ndarray:
         ladder[np.arange(rows)[:, None] >= counts] = 0.0
         np.cumprod(ladder, axis=0, out=ladder)
     return ladder
-
-
-def bessel_i_scaled(nu: float, x: float) -> float:
-    """Exponentially scaled modified Bessel function ``e^{-x} I_nu(x)``,
-    for ``nu in [0, 256]``, ``x in [0, 1e4]``: rung ``floor(nu)`` of
-    :func:`_bessel_i_scaled_ladder`'s ladder of the fractional part of
-    ``nu``."""
-    return _ladder_rung(_bessel_i_scaled_ladder, nu, x)
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind ``I_nu(x)``: ``e^x``
-    times :func:`bessel_i_scaled`.
-
-    Raises
-    ------
-    OverflowError
-        When the unscaled value exceeds double range (x above ~709);
-        use :func:`bessel_i_scaled` there.
-    """
-    scaled = bessel_i_scaled(nu, x)
-    if x > _EXP_OVERFLOW:
-        raise OverflowError(
-            f"I_nu({x}) overflows a double; call bessel_i_scaled instead")
-    return math.exp(x) * scaled
 
 
 # ----------------------------------------------------------------------
@@ -649,13 +607,3 @@ def _bessel_j_ladder(f, count, xs) -> np.ndarray:
         ladder[:c, lo:hi] = _bessel_j_rungs(fs[lo].item(), c, xs[lo:hi])
     return ladder
 
-
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind ``J_nu(x)``.
-
-    Rung ``floor(nu)`` of :func:`_bessel_j_ladder`'s ladder of the
-    fractional part of ``nu``: the ascending series up to ``x = 7``,
-    Hankel's expansion with the upward recurrence for ``x >= 18`` and
-    ``nu < x``, and a Miller descent everywhere else.
-    """
-    return _ladder_rung(_bessel_j_ladder, nu, x)

@@ -447,6 +447,17 @@ class TestConfigValues:
         assert main(["entropy", "--config", str(cfg)]) == 2
         assert "grid bounds must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--tmin", "inf", "--points", "1"],
+        ["entropy", "--tmin", "1", "--tmax", "1e400", "--points", "2",
+         "--spacing", "log"],
+    ])
+    def test_infinite_grid_bound(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "grid bounds must be positive and finite" in captured.err
+        assert captured.out == ""
+
     def test_tc_refined_without_charge(self, capsys):
         assert main(["entropy", "--spacing", "tc-refined"]) == 2
         assert "tc-refined" in capsys.readouterr().err

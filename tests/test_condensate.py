@@ -228,6 +228,16 @@ class TestSolveChemicalPotential:
         expected = 3.0 * rho / (t * t * (1.0 - 1.5 * m / (math.pi * t)))
         assert rel(state.mu, expected) < 1e-6
 
+    def test_rel_dilute_gas_just_above_tc(self):
+        # rho = 1e-8, T = T_C (1 + 1e-9): |mu| sits on the doubles next to
+        # m, and the row stops on the first |mu| its solve asks for twice
+        tc = critical_temperature(rel_charge(1.0e-8), 1.0)
+        t = tc * (1.0 + 1e-9)
+        state = solve_chemical_potential(t, rel_charge(1.0e-8), 1.0)
+        assert state.phase is Phase.GAS
+        back = charge_density_rel(ThermalPoint(t, state.mu), 1.0)
+        assert rel(back, 1.0e-8) <= 1e-8
+
     def test_nr_gap_above_mass_warns(self):
         # T = 1e6 m: the NR gas solution has m - |mu| ~ 1.8e7 m.  Every
         # public entry point warns at its caller's line, here in this file.
@@ -547,6 +557,14 @@ class TestRootSolveWork:
         _chebyshev_slopes(charged_params(), GEO, rel_charge(1.0e-5), tc,
                           self.CLI_ACC)
         assert integrals[0] <= 350
+
+    def test_rel_dilute_row_just_above_tc(self, integrals):
+        # rho = 1e-8, T = T_C (1 + 1e-9): once every |mu| = m - u^2 left
+        # in the bracket rounds to one double, narrowing u moves nothing
+        tc = critical_temperature(rel_charge(1.0e-8), 1.0)
+        integrals[0] = 0
+        solve_chemical_potential(tc * (1.0 + 1e-9), rel_charge(1.0e-8), 1.0)
+        assert integrals[0] <= 30
 
     @pytest.mark.parametrize("temp,gap", [(170.0, 1e-4), (300.0, 0.0),
                                           (1000.0, 0.1), (20.0, 1e-8)])
