@@ -15,26 +15,22 @@ has the closed form :math:`(mT/2\pi)^{3/2}\,\mathrm{Li}_{3/2}(z)` with
 fugacity :math:`z = e^{\mu_{NR}/T}`, and the fully relativistic gas solved
 by quadrature with the antiparticle branch always included.
 
-Every fixed-charge root solve (the relativistic :math:`T_C`, and
-:math:`\mu(T)` in both regimes) runs one safeguarded bracketed solver,
-the ``_solve_bracketed`` coroutine: secant steps through the two latest
-points, with bisection only when a step leaves the bracket or two steps
-in a row fail to halve the residual.  The gas-phase unknown is
-:math:`u = \sqrt{m - |\mu|}` (relativistic) or :math:`\sqrt{-\mu_{NR}/T}`
-(non-relativistic): the density falls like :math:`C - c\,u` just above
-:math:`T_C`, so it is close to linear in :math:`u` where it is singular in
-:math:`\mu`.  Far above :math:`T_C`, where :math:`|\mu| \ll m` and
-:math:`m - u^2` cannot resolve it, the relativistic unknown is
-:math:`|\mu|` itself.  :math:`T_C` and non-relativistic rows drive the
-solver one row at a time.  A relativistic :func:`sweep` solves its rows
-in one loop (``_solve_rel_rows``): a batched capacity pass condenses
-some, each gas row drives its own solver from its own chord start, and
-one batched density integral per round answers every open row; the
-reports take one batched pass per moment.  Every batched integral
-refines each row on its own (``_integrate_radial_rows``), so a row's
-bytes do not depend on the rows swept with it;
-``solve_chemical_potential`` and ``mutual_info_at_fixed_charge`` are
-sweeps of one row.  Nothing is cached between calls.
+Every fixed-charge root solve runs one safeguarded bracketed secant
+solver, the ``_solve_bracketed`` coroutine.  The gas-phase unknown is
+:math:`u = \sqrt{g}` with :math:`g = m - |\mu|` the gap (relativistic) or
+:math:`\sqrt{-\mu_{NR}/T}` (non-relativistic): the density falls like
+:math:`C - c\,u` just above :math:`T_C`, close to linear in :math:`u`
+where it is singular in :math:`\mu`.  The occupation kernel takes the
+pair :math:`(|\mu|, g)` with :math:`g = u^2` exact, so a solve meets its
+residual stop however close :math:`|\mu|` rounds to :math:`m`; far above
+:math:`T_C`, where :math:`|\mu| \ll m`, the unknown is :math:`|\mu|`
+itself and :math:`g = m - |\mu|`.  :math:`T_C` and non-relativistic rows
+solve one at a time.  A relativistic :func:`sweep` solves its rows in one
+lockstep loop (``_solve_rows``): a batched capacity pass condenses some,
+each gas row drives its own solver, and one batched density integral per
+round answers every open row; the reports take one batched pass per
+moment.  Every batched integral refines each row on its own, so a row's
+bytes do not depend on the rows swept with it.  Nothing is cached.
 
 The fixed-charge mutual information across a dividing plane of transverse
 two-volume :math:`V_2` is assembled here with the boundary normalization
@@ -46,17 +42,12 @@ two-volume :math:`V_2` is assembled here with the boundary normalization
 
 whose temperature derivative is continuous except at :math:`T_C`, where it
 jumps by a finite amount.  ``discontinuity_estimate`` gives that jump,
-left minus right, in closed form: exactly in the non-relativistic regime,
-and as two occupation integrals at gap 0 in the relativistic one (the
-left derivative, and the jump as :math:`(\pi V_2/6m)\,dC/dT` with
-:math:`C` the charge capacity).  It compares the jump with the closed-form
-predictions; the ultra-relativistic one, :math:`-(\pi\sqrt3/9)\,V_2
-\sqrt{|\rho|/m}`, carries the sign of right minus left, so the two
-disagree in sign and the result reports that as a sign finding.
-A Chebyshev interpolant of the boundary part itself on each side of
-:math:`T_C`, differentiated there (``_chebyshev_slopes``), is kept as an
-independent cross-check for the ``jump`` family of
-:func:`bosegas.oracles.run_suite`.
+left minus right, in closed form, and reports where its sign disagrees
+with the ultra-relativistic prediction (right minus left).  A Chebyshev
+interpolant of the boundary part itself on each side of :math:`T_C`, in
+:math:`T` below and in :math:`u` above, differentiated there
+(``_chebyshev_slopes``), is kept as an independent cross-check for the
+``jump`` family of :func:`bosegas.oracles.run_suite`.
 """
 
 from __future__ import annotations
@@ -100,8 +91,9 @@ _ZETA_3_2 = zeta(1.5)
 _AUTO_NR_MAX = 0.1
 _AUTO_REL_MIN = 10.0
 
-# The relativistic gas solve runs in |mu| instead of sqrt(m - |mu|) when
-# the root's lower bound lies below this fraction of m (_solve_rel_rows).
+# The relativistic gas solve runs in |mu| instead of u = sqrt(gap) when
+# the root's lower bound lies below this fraction of m, where m - u^2
+# cannot resolve |mu|; the gap is then m - |mu| (_solve_rel_rows).
 _SMALL_MU = 1e-3
 
 
@@ -150,9 +142,11 @@ class CondensateState:
 
     temperature: float          # T > 0
     mu: float                   # relativistic chemical potential, |mu| <= m
-                                # except in an NR gas hotter than about m,
-                                # where |mu| > m (with a UserWarning)
-    z_nr: float                 # non-relativistic fugacity e^((|mu|-m)/T)
+                                # (> m in an NR gas hotter than about m, with
+                                # a UserWarning); +/-m once the gap is below
+                                # ulp(m)/2, where gap and z_nr still hold it
+    gap: float                  # m - |mu| as solved (0 when condensed)
+    z_nr: float                 # non-relativistic fugacity e^(-gap/T)
     excited_density: float      # |charge| carried by excited modes
     condensate_density: float   # |charge| in the zero mode (0 in the gas)
     phase: Phase
@@ -189,19 +183,13 @@ class SweepTable:
 class DiscontinuityResult:
     """One-sided derivatives of I_m at the critical temperature.
 
-    ``jump`` is left - right.  ``analytic_jump`` is the closed-form
-    prediction: (pi/4) V_2 rho/(m T_C) in the NR regime, in the same
-    left - right sign, and the ultra-relativistic -(pi sqrt3/9) V_2
-    sqrt(|rho|/m) in the relativistic one, whose sign is that of
-    right - left; the relativistic ``jump`` is positive, so the two have
-    opposite signs and ``stencil_orders["sign_finding"]`` says so.
-
-    ``stencil_orders`` keeps its name from a finite-difference route that
-    is gone.  It holds ``route`` ("closed-form"), ``left`` and ``right``
-    dicts with an integer ``levels`` (always 0), ``achieved``, the
-    relative error estimate of each integral (empty in the NR regime,
-    which takes none), ``sign_finding``, and one regime-specific
-    reference value.
+    ``jump`` is left - right; ``analytic_jump`` is the closed-form
+    prediction (see :func:`discontinuity_estimate`).  ``stencil_orders``
+    keeps its name from a finite-difference route that is gone.  It holds
+    ``route`` ("closed-form"), ``left`` and ``right`` dicts with an integer
+    ``levels`` (always 0), ``achieved``, the relative error estimate of
+    each integral (empty in the NR regime, which takes none),
+    ``sign_finding``, and one regime-specific reference value.
     """
 
     critical_temperature: float
@@ -235,16 +223,15 @@ def excited_density_nr(temperature: float, mu_nr: float, mass: float,
 
 
 def _charge_density_rel_at(temperature: float, mass: float, a: float,
-                           acc: AccuracyBudget) -> float:
-    """Relativistic excited |charge| density at a = |mu| in [0, m].
+                           g: float, acc: AccuracyBudget) -> float:
+    """Relativistic excited |charge| density at a = |mu| in [0, m], gap g.
 
-    The occupation difference is taken as
-    n(omega - a) - n(omega + a) = n_- (1 + n_+) (1 - e^(-2a/T)), which has
-    no difference of large terms and no overflow.
+    The occupation difference is taken as n(omega - a) - n(omega + a) =
+    n_- (1 + n_+) (1 - e^(-2a/T)): no difference of large terms, no overflow.
     """
     c = -math.expm1(-2.0 * a / temperature)
     return _occupation_integral(
-        3, mass, temperature, a,
+        3, mass, temperature, a, g,
         lambda x_minus, x_plus, omega:
             _capacity_moment(x_minus, x_plus, omega) * c, acc)
 
@@ -255,11 +242,13 @@ def _capacity_moment(x_minus, x_plus, _omega):
 
 
 def _charge_rows(temperatures: Sequence[float], mus: Sequence[float],
-                 mass: float, acc: AccuracyBudget) -> list:
-    """Relativistic excited |charge| density at one (T, a = |mu|) per
-    row, in one batch; a row whose integral fails holds its exception."""
-    values = _occupation_rows(3, mass, temperatures, mus, _capacity_moment,
-                              acc)
+                 gaps: Sequence[float], mass: float,
+                 acc: AccuracyBudget) -> list:
+    """Relativistic excited |charge| density at one (T, a = |mu|, gap)
+    per row, in one batch; a row whose integral fails holds its
+    exception."""
+    values = _occupation_rows(3, mass, temperatures, mus, gaps,
+                              _capacity_moment, acc)
     return [v if isinstance(v, Exception) else -math.expm1(-2.0 * a / t) * v
             for v, t, a in zip(values, temperatures, mus)]
 
@@ -277,7 +266,8 @@ def charge_density_rel(point: ThermalPoint, mass: float,
         raise ValueError(f"|mu| = {a!r} exceeds the mass {mass!r}")
     if a == 0.0:
         return 0.0
-    value = _charge_density_rel_at(point.temperature, mass, a, acc)
+    value = _charge_density_rel_at(point.temperature, mass, a, mass - a,
+                                   acc)
     return math.copysign(value, point.chemical_potential)
 
 
@@ -338,14 +328,37 @@ def _solve_bracketed(lo: float, hi: float, f_lo: float, f_hi: float, *,
                            estimate=0.5 * (lo + hi))
 
 
+def _solve_rows(solves: dict, residuals: Callable[[dict], list]) -> dict:
+    """Drive ``_solve_bracketed`` coroutines (row -> coroutine) in
+    lockstep: each round sends every open row its last residual, and
+    ``residuals`` answers the points asked for (row -> x) in one batch,
+    a residual or an exception per row.  Returns row -> root or exception.
+    """
+    out: dict = {}
+    replies = dict.fromkeys(solves)
+    while replies:
+        points: dict = {}
+        for i, reply in replies.items():
+            try:
+                points[i] = solves[i].send(reply)
+            except StopIteration as stop:
+                out[i] = stop.value
+            except (ValueError, ConvergenceError) as exc:
+                out[i] = exc
+        replies = {}
+        for i, residual in zip(points, residuals(points)):
+            if isinstance(residual, Exception):
+                out[i] = residual
+            else:
+                replies[i] = residual
+    return out
+
+
 def _solve_one(solve, fn: Callable[[float], float]) -> float:
-    """Drive a ``_solve_bracketed`` coroutine with ``fn``."""
-    residual = None
-    try:
-        while True:
-            residual = fn(solve.send(residual))
-    except StopIteration as stop:
-        return stop.value
+    """Drive one ``_solve_bracketed`` coroutine with ``fn``."""
+    (root,) = _checked(list(_solve_rows(
+        {0: solve}, lambda points: [fn(x) for x in points.values()]).values()))
+    return root
 
 
 def _resolve_regime(charge: ChargeSpec, mass: float) -> Regime:
@@ -368,11 +381,8 @@ def _critical_temperature_nr(density: float, mass: float) -> float:
 
 
 def _solver_acc(acc: AccuracyBudget) -> AccuracyBudget:
-    """Quadrature budget used inside root solves; keeps residuals clean.
-
-    The gas-phase solve stops at a residual of 1e-10 rho, so the density
-    integral must be good to well below that whatever the caller asked.
-    """
+    """Quadrature budget inside root solves: good to well below the
+    gas-phase stop (a 1e-10 rho residual), whatever the caller asked."""
     return AccuracyBudget(
         relative_tolerance=min(1e-12, acc.relative_tolerance),
         max_terms=acc.max_terms,
@@ -414,29 +424,26 @@ def _solve_nr(temperature: float, rho_abs: float, mass: float,
 
 
 def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
-                    mass: float, acc: AccuracyBudget, residual_rtol: float
-                    ) -> list:
+                    mass: float, acc: AccuracyBudget) -> list:
     """(gap, |mu|, excited, condensed, phase) per temperature, or the
     exception its row raised.
 
-    A batched capacity pass (a = m) condenses every row whose capacity is
-    at most rho; each gas row then runs its own ``_solve_bracketed``, and
-    one batched density integral per round answers every open row.  The
-    unknown is u = sqrt(gap), bracketed from u ~ 0 (capacity - rho) to
-    u = sqrt(m) (mu = 0, -rho) and started where the chord between the
-    bracket ends crosses zero in the gap: rho is convex in the gap, so
-    that start lies above the root, and close to it wherever rho is
-    near-linear in the gap (all but a thin layer just above T_C).
-
-    m - u^2 resolves |mu| only to ~1e-14 m.  rho is convex in |mu|, so
-    a_low = m rho / capacity bounds the root from below; below _SMALL_MU m
-    (far above T_C) the same solve runs in |mu| on [0, m] from a_low.
-    Just above a T_C << m, m - u^2 can round to one double next to m
-    over the whole bracket: a row ends once its |mu| repeats.
+    A batched capacity pass (gap 0) condenses every row whose capacity is
+    at most rho; each gas row then runs its own ``_solve_bracketed``, all
+    of them in one ``_solve_rows`` loop.  The unknown is u = sqrt(gap),
+    the kernel gets (m - u^2, u^2), and u is bracketed from u ~ 0
+    (capacity - rho) to sqrt(m) (mu = 0, -rho) and started where the chord
+    between the ends crosses zero in the gap: rho is convex in the gap, so
+    that start lies above the root, and close to it outside a thin layer
+    just above T_C.  rho is convex in |mu| too, so a_low = m rho /
+    capacity bounds the root from below; below _SMALL_MU m the solve runs
+    in |mu| on [0, m] from a_low, and the gap is m - |mu|.
     """
     q_acc = _solver_acc(acc)
-    out = _charge_rows(temperatures, [mass] * len(temperatures), mass, q_acc)
-    solves: dict = {}       # gas row -> (solves in |mu|, its coroutine)
+    n = len(temperatures)
+    out = _charge_rows(temperatures, [mass] * n, [0.0] * n, mass, q_acc)
+    solves: dict = {}       # gas row -> its coroutine
+    in_mu: dict = {}        # gas row -> whether it solves in |mu|
     for i, capacity in enumerate(out):
         if isinstance(capacity, Exception):
             continue
@@ -444,46 +451,40 @@ def _solve_rel_rows(temperatures: Sequence[float], rho_abs: float,
             out[i] = (0.0, mass, capacity, rho_abs - capacity, Phase.CONDENSED)
             continue
         a_low = mass * rho_abs / capacity
-        in_mu = a_low < _SMALL_MU * mass
-        if in_mu:
+        in_mu[i] = a_low < _SMALL_MU * mass
+        if in_mu[i]:
             bracket, guess = (0.0, mass, -rho_abs, capacity - rho_abs), a_low
         else:
             bracket = (math.sqrt(1e-30 * mass), math.sqrt(mass),
                        capacity - rho_abs, -rho_abs)
             guess = math.sqrt(mass * (capacity - rho_abs) / capacity)
-        solves[i] = in_mu, _solve_bracketed(
+        solves[i] = _solve_bracketed(
             *bracket, x_rtol=1e-14, guess=guess,
-            f_stop=lambda r: abs(r) <= residual_rtol * rho_abs)
-    # open row -> its last residual and the |mu| that residual is at
-    replies = dict.fromkeys(solves, (None, None))
-    while replies:
-        points: dict = {}   # open row -> the |mu| its solve asks for
-        for i, (reply, last) in replies.items():
-            in_mu, solve = solves[i]
-            try:
-                x = solve.send(reply)
-            except StopIteration as stop:
-                x = stop.value
-            except (ValueError, ConvergenceError) as exc:
-                out[i] = exc
-                continue
-            else:
-                a = x if in_mu else mass - x * x
-                if a != last:
-                    points[i] = a
-                    continue
-                solve.close()           # its |mu| has stopped moving
-            out[i] = ((mass - x, x) if in_mu else (x * x, mass - x * x)) \
-                + (rho_abs, 0.0, Phase.GAS)
+            f_stop=lambda r: abs(r) <= _RESIDUAL_RTOL * rho_abs)
+
+    def gap_mu(i: int, x: float) -> tuple[float, float]:
+        return (mass - x, x) if in_mu[i] else (x * x, mass - x * x)
+
+    def residuals(points: dict) -> list:
+        pairs = [gap_mu(i, x) for i, x in points.items()]
         values = _charge_rows([temperatures[i] for i in points],
-                              list(points.values()), mass, q_acc)
-        replies = {}
-        for i, value in zip(points, values):
-            if isinstance(value, Exception):
-                out[i] = value
-            else:
-                replies[i] = value - rho_abs, points[i]
+                              [a for _, a in pairs], [g for g, _ in pairs],
+                              mass, q_acc)
+        return [v if isinstance(v, Exception) else v - rho_abs
+                for v in values]
+
+    for i, x in _solve_rows(solves, residuals).items():
+        out[i] = x if isinstance(x, Exception) \
+            else gap_mu(i, x) + (rho_abs, 0.0, Phase.GAS)
     return out
+
+
+def _checked(values: list) -> list:
+    """``values``, or raise the first exception among them."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values
 
 
 def _caught(fn: Callable, *args):
@@ -514,11 +515,12 @@ def _solve_states(temperatures: Sequence[float], charge: ChargeSpec,
         for t in temps:
             solved.append(_caught(_solve_nr, t, rho_abs, mass, acc))
     else:
-        solved = _solve_rel_rows(temps, rho_abs, mass, acc, _RESIDUAL_RTOL)
+        solved = _solve_rel_rows(temps, rho_abs, mass, acc)
     for i, t, row in zip(valid, temps, solved):
         out[i] = row if isinstance(row, Exception) else CondensateState(
             temperature=t,
             mu=math.copysign(1.0, charge.density) * row[1],
+            gap=row[0],
             z_nr=math.exp(-row[0] / t),
             excited_density=row[2],
             condensate_density=row[3],
@@ -533,21 +535,17 @@ def solve_chemical_potential(temperature: float, charge: ChargeSpec,
                              ) -> CondensateState:
     """Solve mu(T) at fixed charge density; condensed below capacity.
 
-    In the gas phase the returned chemical potential reproduces the charge
-    density to 1e-10 (relative) where the doubles next to ``|mu|`` resolve
-    that; just above a T_C << m, ``|mu|`` is m or a few ulps below it (at
-    rho = 1e-8, T = T_C (1 + 1e-6), mu = m misses rho by 1.5e-6 and the
-    double below m by 2.2e-6).  In the condensed phase ``|mu| = m``
-    exactly and the charge excess sits in the condensate.
+    In the gas phase the solved gap m - |mu| reproduces the charge density
+    to 1e-10 (relative); ``mu`` itself rounds to +/-m once the gap is below
+    ulp(m)/2.  In the condensed phase ``|mu| = m`` exactly and the charge
+    excess sits in the condensate.
     A non-relativistic gas state whose gap exceeds the mass breaks
     ``|mu| <= m``; it is returned with a ``UserWarning``.  This is a sweep
     of one row, so it gives the bytes of that row in any sweep.
     """
     if not (math.isfinite(mass) and mass > 0.0):
         raise ValueError(f"mass must be positive, got {mass!r}")
-    (state,) = _solve_states([temperature], charge, mass, acc)
-    if isinstance(state, Exception):
-        raise state
+    (state,) = _checked(_solve_states([temperature], charge, mass, acc))
     return state
 
 
@@ -576,7 +574,7 @@ def critical_temperature(charge: ChargeSpec, mass: float,
     # sqrt(capacity) is linear in T in the ultra-relativistic limit and
     # close to it (T^(3/4)) in the non-relativistic one.
     def residual(t: float) -> float:
-        return math.sqrt(_charge_density_rel_at(t, mass, mass, q_acc)
+        return math.sqrt(_charge_density_rel_at(t, mass, mass, 0.0, q_acc)
                          / rho_abs) - 1.0
 
     # The capacity exceeds both limiting forms, so T_C lies just below the
@@ -624,7 +622,9 @@ def _reports(params: ModelParams, geometry: Geometry,
     else:
         temps = [state.temperature for state in states]
         mus = [abs(state.mu) for state in states]
-        boundary, entropy = (_occupation_rows(3, m, temps, mus, moment, acc)
+        gaps = [state.gap for state in states]
+        boundary, entropy = (_occupation_rows(3, m, temps, mus, gaps, moment,
+                                              acc)
                              for moment in (_boundary_charged,
                                             _entropy_charged))
         coeff = (math.pi / 6.0) * geometry.two_volume
@@ -651,13 +651,9 @@ def mutual_info_at_fixed_charge(params: ModelParams, geometry: Geometry,
     """
     _validate_fixed_charge_model(params)
     regime = _resolve_regime(charge, params.mass)
-    (state,) = _solve_states([temperature], ChargeSpec(charge.density, regime),
-                             params.mass, acc)
-    if isinstance(state, Exception):
-        raise state
-    (report,) = _reports(params, geometry, [state], regime, acc)
-    if isinstance(report, Exception):
-        raise report
+    (state,) = _checked(_solve_states(
+        [temperature], ChargeSpec(charge.density, regime), params.mass, acc))
+    (report,) = _checked(_reports(params, geometry, [state], regime, acc))
     return report
 
 
@@ -739,10 +735,8 @@ def _closed_form_slopes(tc: float, mass: float, v2: float,
     kernel :math:`n_-(1+n_+)\,c`, :math:`c = 1 - e^{-2m/T}`:
     :math:`(c/T)\int n_-(1+n_+)\,[x_-(1+n_-) + x_+ n_+ - k]` with
     :math:`k = (2m/T)/(e^{2m/T}-1)`.  Every term is positive except
-    :math:`-k`, and :math:`x_-(1+n_-) \ge 1 \ge k`, so nothing cancels.
-    The plain difference :math:`x_- n_-(1+n_-) - x_+ n_+(1+n_+)` of the
-    two branches does cancel: at rho = 1e10 it stops at 4.4e-12 after
-    6,000 subdivisions, short of the 1e-13 budget.
+    :math:`-k`, and :math:`x_-(1+n_-) \ge 1 \ge k`, so nothing cancels
+    (the plain difference of the two branches does, at rho = 1e10).
 
     Returns (left derivative, jump, relative achieved error per integral).
     """
@@ -758,9 +752,9 @@ def _closed_form_slopes(tc: float, mass: float, v2: float,
 
     coeff = math.pi / 6.0 * v2
     s_left, e_left = _integrate_radial_report(_occupation_spec(
-        3, mass, tc, mass, _left_slope_moment, tight))
+        3, mass, tc, mass, 0.0, _left_slope_moment, tight))
     s_jump, e_jump = _integrate_radial_report(_occupation_spec(
-        3, mass, tc, mass, capacity_slope, tight))
+        3, mass, tc, mass, 0.0, capacity_slope, tight))
     achieved = {"left_derivative": e_left / s_left, "jump": e_jump / s_jump}
     return coeff * s_left / tc, coeff / mass * c * s_jump / tc, achieved
 
@@ -771,21 +765,18 @@ def discontinuity_estimate(params: ModelParams, geometry: Geometry,
                            ) -> DiscontinuityResult:
     r"""Closed-form jump of :math:`\partial I_m/\partial T` at :math:`T_C`.
 
-    Only the thermal boundary part depends on T (the vacuum piece is a
-    constant).  Non-relativistic: below T_C it is
-    :math:`(\pi/6)(V_2/m)\,C(T)` with :math:`C \propto T^{3/2}`, above it
-    :math:`(\pi/6)(V_2/m)\rho`, so the left derivative is
-    :math:`(3/2)(\pi/6)(V_2/m)\rho/T_C` and the right one 0, exactly.
-    Relativistic: the left derivative and the jump are one occupation
-    integral each at gap 0 (see ``_closed_form_slopes``), and
-    right = left - jump.
+    Only the thermal boundary part depends on T.  Non-relativistic: it is
+    :math:`(\pi/6)(V_2/m)\,C(T)`, :math:`C \propto T^{3/2}`, below T_C and
+    :math:`(\pi/6)(V_2/m)\rho` above, so the slopes are
+    :math:`(3/2)(\pi/6)(V_2/m)\rho/T_C` and 0, exactly.  Relativistic: the
+    left slope and the jump are one occupation integral each at gap 0
+    (``_closed_form_slopes``), and right = left - jump.
 
     ``jump`` is left - right.  ``analytic_jump`` is the NR closed form
     :math:`(\pi/4)\,V_2\rho/(m T_C)` (left - right), or the
-    ultra-relativistic prediction :math:`-(\pi\sqrt3/9)\,V_2\sqrt{|\rho|/m}`,
-    whose sign is that of right - left.  Where the two signs differ the
-    result carries, and warns with, a sign finding; neither number is
-    adjusted to match.
+    ultra-relativistic :math:`-(\pi\sqrt3/9)\,V_2\sqrt{|\rho|/m}`, whose
+    sign is that of right - left.  Where the signs differ the result
+    carries, and warns with, a sign finding; neither number is adjusted.
     """
     _validate_fixed_charge_model(params)
     regime = _resolve_regime(charge, params.mass)
@@ -829,9 +820,8 @@ def discontinuity_estimate(params: ModelParams, geometry: Geometry,
     )
 
 
-# Chebyshev-Lobatto points per side of T_C for the jump cross-check.  The
-# slope amplifies the integrals' ~1e-13 noise by about n^2 T_C / h, so n
-# stays small and fixed.
+# Chebyshev-Lobatto points per side of T_C for the jump cross-check; the
+# slope amplifies the integrals' noise by about n^2, so n stays small.
 _JUMP_POINTS = 8
 
 
@@ -839,62 +829,70 @@ def _chebyshev_slopes(params: ModelParams, geometry: Geometry,
                       charge: ChargeSpec, tc: float,
                       acc: AccuracyBudget = DEFAULT_BUDGET
                       ) -> tuple[float, float]:
-    """One-sided derivatives of the boundary part at ``tc`` (T_C), from a
-    Chebyshev interpolant per side: the cross-check of the ``jump`` family
-    of :func:`bosegas.oracles.run_suite`.
+    """One-sided derivatives of the boundary part B at ``tc`` (T_C), from
+    a Chebyshev interpolant per side: the cross-check of the ``jump``
+    family of :func:`bosegas.oracles.run_suite`.
 
-    Each side samples the boundary part itself at ``_JUMP_POINTS``
-    Chebyshev-Lobatto points: on the condensation boundary (a = m) over
-    [T_C - 0.01 T_C, T_C], and along the solved mu(T) over [T_C, T_C + h],
-    so it shares nothing with the closed form but T_C and the occupation
-    kernel.  Above T_C, sqrt(gap) grows like sqrt(T - T_C) except inside
-    a layer of width delta* ~ (9 / 2 pi^2) m^2 / T_C, where it is linear
-    in T - T_C; the interpolant must sit well inside that layer to see
-    the one-sided slope: h = min(0.01 T_C, 0.03 delta*).  T_C is a node
-    of both sides, taken at a = m.  The relativistic gas points are solved
-    in one batch at a 3e-13 residual, and every point is reported in one
-    more; the NR boundary part is closed form on both sides.
+    Each side samples B itself at ``_JUMP_POINTS`` Chebyshev-Lobatto
+    points, sharing nothing with the closed form but T_C and the kernel:
+    below T_C at gap 0 over [0.99 T_C, T_C], above in u = sqrt(gap) over
+    [0, U], U the u of mu(T) at T_C (1 + 1e-3).  Each u's T(u) is solved
+    in T at its fixed gap, all in one ``_solve_rows`` loop, and B taken at
+    (T(u), m - u^2, u^2).  T(u) and B(u) stay smooth through the layer
+    where sqrt(gap) turns from linear in T - T_C to sqrt(T - T_C), so U
+    need not shrink with rho; the right slope is (dB/du) / (dT/du) at
+    u = 0, where T(0) is T_C to the T(u) rows' stop, tighter than T_C's
+    own.  The NR B is closed form, sampled in T over 0.01 T_C per side.
 
-    The slope at T_C is the derivative of the interpolant at that end, in
+    The slope at an end is the derivative of the interpolant there, in
     barycentric form (Berrut & Trefethen, SIAM Rev. 46 (2004) 501): with
     the Lobatto weights w_j = (-1)^j, halved at both ends, it is
-    sum_j (w_j / w_0) (f_j - f_0) / (T_C - T_j).
+    sum_j (w_j / w_0) (f_j - f_0) / (x_0 - x_j).
     """
     m = params.mass
     rho_abs = abs(charge.density)
     coeff = math.pi / 6.0 * geometry.two_volume
     last = _JUMP_POINTS - 1
-    # (1 - x_j) / 2 at the Lobatto points x_j = cos(j pi / last): 0 at T_C,
-    # 1 at the far end of the interval.
+    # (1 - x_j) / 2 at the Lobatto points x_j = cos(j pi / last): 0 to 1
     steps = [math.sin(0.5 * math.pi * j / last) ** 2
              for j in range(_JUMP_POINTS)]
     below = [tc - 0.01 * tc * s for s in steps]
+
+    def endpoint_slope(xs: list, fs: list) -> float:
+        return float(sum((-1.0) ** j * (1.0 if j == last else 2.0)
+                         * (fs[j] - fs[0]) / (xs[0] - xs[j])
+                         for j in range(1, _JUMP_POINTS)))
+
     if _resolve_regime(charge, m) is Regime.NON_RELATIVISTIC:
         above = [tc + 0.01 * tc * s for s in steps]
         f_below = [coeff / m * (m * t / (2.0 * math.pi)) ** 1.5 * _ZETA_3_2
                    for t in below]
         f_above = f_below[:1] + [coeff / m * rho_abs] * last
-    else:
-        tight = _jump_budget(acc)
-        delta_star = 4.5 * m * m / (math.pi ** 2 * tc)
-        h = min(0.01 * tc, 0.03 * delta_star)
-        above = [tc + h * s for s in steps]
-        gas = _solve_rel_rows(above[1:], rho_abs, m, tight, 3e-13)
-        for row in gas:
-            if isinstance(row, Exception):
-                raise row
-        values = _occupation_rows(3, m, below + above[1:],
-                                  [m] * _JUMP_POINTS + [row[1] for row in gas],
-                                  _boundary_charged, tight)
-        for value in values:
-            if isinstance(value, Exception):
-                raise value
-        f_below = [coeff * v for v in values[:_JUMP_POINTS]]
-        f_above = f_below[:1] + [coeff * v for v in values[_JUMP_POINTS:]]
+        return endpoint_slope(below, f_below), endpoint_slope(above, f_above)
 
-    def endpoint_slope(ts: list, fs: list) -> float:
-        return float(sum((-1.0) ** j * (1.0 if j == last else 2.0)
-                         * (fs[j] - fs[0]) / (ts[0] - ts[j])
-                         for j in range(1, _JUMP_POINTS)))
+    tight = _jump_budget(acc)
+    (row,) = _checked(_solve_rel_rows([tc * (1.0 + 1e-3)], rho_abs, m, tight))
+    us = [math.sqrt(row[0]) * s for s in steps]
+    # one (T, |mu|, gap) row per node: below T_C, then above it
+    gaps = [0.0] * _JUMP_POINTS + [u * u for u in us]
+    mus = [m - g for g in gaps]
+    gas = range(_JUMP_POINTS, len(gaps))
+    lo, hi = tc * (1.0 - 1e-3), tc * (1.0 + 2e-3)
 
-    return endpoint_slope(below, f_below), endpoint_slope(above, f_above)
+    def excess(points: dict) -> list:
+        """T_C's residual sqrt(rho(T, gap) / rho) - 1 at node -> T."""
+        return [math.sqrt(v / rho_abs) - 1.0 for v in _checked(_charge_rows(
+            list(points.values()), [mus[j] for j in points],
+            [gaps[j] for j in points], m, tight))]
+
+    # hi lies above T(U) = T_C (1 + 1e-3), up to the mu(T) solve's residual
+    ends = [excess(dict.fromkeys(gas, t)) for t in (lo, hi)]
+    solved = _solve_rows({j: _solve_bracketed(
+        lo, hi, f_lo, f_hi, x_rtol=1e-14, f_stop=lambda r: abs(r) <= 1e-13)
+        for j, f_lo, f_hi in zip(gas, *ends)}, excess)
+    temps = _checked(below + [solved[j] for j in gas])
+    f = [coeff * v for v in _checked(_occupation_rows(
+        3, m, temps, mus, gaps, _boundary_charged, tight))]
+    return (endpoint_slope(below, f[:_JUMP_POINTS]),
+            endpoint_slope(us, f[_JUMP_POINTS:])
+            / endpoint_slope(us, temps[_JUMP_POINTS:]))

@@ -477,8 +477,8 @@ def check_derivative_jump(density: float, regime: Regime) -> OracleReport:
     ``discontinuity_estimate``; rhs: the same from
     ``condensate._chebyshev_slopes``, which differentiates the boundary
     part itself at T_C.  The jumps must agree to 1e-5 (the interpolants'
-    own error: 2e-6 at rho = 1e4) and the left derivatives to 1e-10.  The
-    known sign finding of the relativistic regime is not re-warned here.
+    own error: 1.7e-11 at rho = 1e2, 1.6e-10 at 1e4) and the left
+    derivatives to 1e-10.  The known sign finding is not re-warned here.
     """
     params = ModelParams(1.0, 3, 1e4, FieldKind.CHARGED_COMPLEX)
     charge = ChargeSpec(density, regime)

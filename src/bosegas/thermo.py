@@ -212,32 +212,30 @@ def _entropy_weight(x: np.ndarray) -> np.ndarray:
     return np.where(x < _EXP_BIG, xo * n + np.log1p(n), 0.0)
 
 
-def _gap_frequencies(mass: float, a: float, p: np.ndarray):
+def _gap_frequencies(mass: float, a: float, g: float, p: np.ndarray):
     """Return (omega, omega - a) with the difference cancellation-free.
 
-    For ``a`` close to the mass, ``omega - a`` loses all precision if formed
-    directly; ``(p^2 + g (m + a)) / (omega + a)`` with ``g = m - a`` is
-    exact.  At a float ``a = 0`` the lower branch is omega itself.  ``a``
-    may also be an array that broadcasts against ``p`` (one a per row of
-    a batch).
+    For ``a`` close to the mass ``omega - a`` loses all precision if formed
+    directly; ``(p^2 + g (m + a)) / (omega + a)`` with the exact gap
+    ``g = m - a`` from the caller does not.  At a float ``a = 0`` the lower
+    branch is omega itself.  ``a`` and ``g`` may be arrays that broadcast
+    against ``p`` (one pair per row of a batch).
     """
     p2 = p * p
     omega = np.sqrt(p2 + mass * mass)
     if not isinstance(a, np.ndarray) and a == 0.0:
         return omega, omega
-    g = mass - a
     below = (p2 + g * (mass + a)) / (omega + a)
     return omega, below
 
 
-def _thermal_grid(mass: float, temperature: float, a: float
+def _thermal_grid(mass: float, temperature: float, a: float, g: float
                   ) -> tuple[tuple[float, ...], float]:
     """Breakpoints and tail scale for occupation-weighted integrals.
 
-    An occupation n(beta (omega - a)) bends at the knee
-    p0 = sqrt((m - a)(m + a)), where the gap m - a stops dominating
-    omega - a (p0 = m at a = 0; at a = m, where the formula gives 0,
-    p0 = m too), and decays like e^(-p/L) beyond L = max(T, sqrt(m T)).
+    An occupation n(beta (omega - a)) bends at the knee p0 = sqrt(g (m + a))
+    where the gap g = m - a stops dominating omega - a (p0 = m at a = 0,
+    and at g = 0 too), and decays like e^(-p/L) beyond L = max(T, sqrt(m T)).
     Near T_C the knee sits many decades below L, and the integrand
     changes shape in every decade between them, so there is one
     breakpoint per decade, p0 * 10^k for every k >= 0 with p0 * 10^k < L.
@@ -250,7 +248,7 @@ def _thermal_grid(mass: float, temperature: float, a: float
     bisect towards.
     """
     decay = max(temperature, math.sqrt(mass * temperature))
-    p0 = math.sqrt(max(mass - a, 0.0) * (mass + a)) or mass
+    p0 = math.sqrt(g * (mass + a)) or mass
     pts = []
     while p0 < decay:
         pts.append(p0)
@@ -259,48 +257,51 @@ def _thermal_grid(mass: float, temperature: float, a: float
 
 
 def _occupation_spec(dimension: int, mass: float, temperature: float,
-                     a: float, moment: Callable, acc: AccuracyBudget
-                     ) -> RadialIntegralSpec:
+                     a: float, g: float, moment: Callable,
+                     acc: AccuracyBudget) -> RadialIntegralSpec:
     """int d^Dp/(2pi)^D moment(beta (omega - a), beta (omega + a), omega).
 
-    ``a = |mu|`` in [0, m] and beta = 1/T; the first argument is formed
-    cancellation-free (see ``_gap_frequencies``).  Every occupation
-    integral of ``thermo`` and ``condensate`` is built here.
+    ``a = |mu|`` in [0, m] and its gap ``g = m - a``, each exact from the
+    caller's unknown; the first argument is formed cancellation-free (see
+    ``_gap_frequencies``).  Every occupation integral is built here.
     """
     beta = 1.0 / temperature
 
     def integrand(p: np.ndarray) -> np.ndarray:
-        omega, below = _gap_frequencies(mass, a, p)
+        omega, below = _gap_frequencies(mass, a, g, p)
         return moment(beta * below, beta * (omega + a), omega)
 
-    pts, scale = _thermal_grid(mass, temperature, a)
+    pts, scale = _thermal_grid(mass, temperature, a, g)
     return RadialIntegralSpec(dimension, integrand, singular_points=pts,
                               accuracy=acc, tail_scale=scale)
 
 
 def _occupation_integral(dimension: int, mass: float, temperature: float,
-                         a: float, moment: Callable, acc: AccuracyBudget
-                         ) -> float:
+                         a: float, g: float, moment: Callable,
+                         acc: AccuracyBudget) -> float:
     """The occupation integral of ``_occupation_spec``, value only."""
     return integrate_radial(_occupation_spec(dimension, mass, temperature,
-                                             a, moment, acc))
+                                             a, g, moment, acc))
 
 
 def _occupation_rows(dimension: int, mass: float,
                      temperatures: Sequence[float], mus: Sequence[float],
-                     moment: Callable, acc: AccuracyBudget) -> list:
-    """``_occupation_integral`` at one (T, a = |mu|) per row, all rows
+                     gaps: Sequence[float], moment: Callable,
+                     acc: AccuracyBudget) -> list:
+    """``_occupation_integral`` at one (T, a = |mu|, g) per row, all rows
     refined in lockstep by ``quadrature._integrate_radial_rows``; each row
     holds its value or the exception it raised."""
     beta = 1.0 / np.asarray(temperatures, dtype=float)
     abs_mu = np.asarray(mus, dtype=float)
+    gap = np.asarray(gaps, dtype=float)
 
     def integrand(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
         a, b = abs_mu[rows], beta[rows]
-        omega, below = _gap_frequencies(mass, a, p)
+        omega, below = _gap_frequencies(mass, a, gap[rows], p)
         return moment(b * below, b * (omega + a), omega)
 
-    grids = [_thermal_grid(mass, t, a) for t, a in zip(temperatures, mus)]
+    grids = [_thermal_grid(mass, t, a, g)
+             for t, a, g in zip(temperatures, mus, gaps)]
     return _integrate_radial_rows(dimension, integrand, grids, acc)
 
 
@@ -353,7 +354,7 @@ def thermal_entropy(params: ModelParams, geometry: Geometry,
         raise ValueError("thermal_entropy is defined at mu = 0; "
                          "use the charged-field report for mu != 0")
     return geometry.subsystem_volume * _occupation_integral(
-        params.dimension, params.mass, point.temperature, 0.0,
+        params.dimension, params.mass, point.temperature, 0.0, params.mass,
         _MOMENTS[params.field_kind][1], acc)
 
 
@@ -396,7 +397,8 @@ def _assemble_report(params: ModelParams, geometry: Geometry,
     if kind is FieldKind.CHARGED_COMPLEX and a == 0.0:
         kind, species = FieldKind.NEUTRAL_REAL, 2.0
     boundary_moment, entropy_moment = _MOMENTS[kind]
-    args = (params.dimension, params.mass, point.temperature, a)
+    args = (params.dimension, params.mass, point.temperature, a,
+            params.mass - a)
     return _entropy_report(
         zero_t_entanglement(params, geometry),
         (math.pi / 3.0) * geometry.boundary_area
@@ -481,7 +483,7 @@ def boundary_thermal_matsubara(params: ModelParams, geometry: Geometry,
 
         return sum_bilateral(term, sum_acc) - 0.5 * beta / np.sqrt(omega2)
 
-    pts, scale = _thermal_grid(m, point.temperature, a)
+    pts, scale = _thermal_grid(m, point.temperature, a, m - a)
     spec = RadialIntegralSpec(params.dimension, summed,
                               singular_points=pts, accuracy=acc,
                               tail_scale=scale)

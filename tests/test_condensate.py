@@ -228,15 +228,27 @@ class TestSolveChemicalPotential:
         expected = 3.0 * rho / (t * t * (1.0 - 1.5 * m / (math.pi * t)))
         assert rel(state.mu, expected) < 1e-6
 
-    def test_rel_dilute_gas_just_above_tc(self):
-        # rho = 1e-8, T = T_C (1 + 1e-9): |mu| sits on the doubles next to
-        # m, and the row stops on the first |mu| its solve asks for twice
-        tc = critical_temperature(rel_charge(1.0e-8), 1.0)
-        t = tc * (1.0 + 1e-9)
-        state = solve_chemical_potential(t, rel_charge(1.0e-8), 1.0)
+    @pytest.mark.parametrize("rho,eps", [(rho, eps)
+                                         for rho in (1e-8, 1e-6, 1e-4)
+                                         for eps in (1e-9, 1e-6, 1e-4)])
+    def test_rel_dilute_gas_just_above_tc(self, rho, eps):
+        # T = T_C (1 + eps) with T_C << m: |mu| = m - gap sits on the
+        # doubles next to m (at rho = 1e-8, eps = 1e-9 the gap is 1.9e-23),
+        # so only the solved gap reproduces rho to the solve's stop
+        tc = critical_temperature(rel_charge(rho), 1.0)
+        t = tc * (1.0 + eps)
+        state = solve_chemical_potential(t, rel_charge(rho), 1.0)
         assert state.phase is Phase.GAS
-        back = charge_density_rel(ThermalPoint(t, state.mu), 1.0)
-        assert rel(back, 1.0e-8) <= 1e-8
+        assert state.z_nr == math.exp(-state.gap / t)
+        back = condensate._charge_density_rel_at(
+            t, 1.0, abs(state.mu), state.gap,
+            AccuracyBudget(relative_tolerance=1e-12))
+        assert rel(back, rho) <= 1e-10
+        if (rho, eps) == (1e-8, 1e-9):
+            # the printed mu rounds to m; the density there is the capacity
+            assert state.mu == 1.0 and state.z_nr == 1.0
+            back = charge_density_rel(ThermalPoint(t, state.mu), 1.0)
+            assert rel(back, 1.0e-8) <= 1e-8
 
     def test_nr_gap_above_mass_warns(self):
         # T = 1e6 m: the NR gas solution has m - |mu| ~ 1.8e7 m.  Every
@@ -474,7 +486,7 @@ class TestDiscontinuity:
         assert all(0.0 <= e <= 1e-13 for e in orders["achieved"].values())
 
     @pytest.mark.filterwarnings("ignore:sign finding")
-    @pytest.mark.parametrize("rho", [1e-5, 1.0, 1.0e2, 1.0e4])
+    @pytest.mark.parametrize("rho", [1e-5, 1.0, 1.0e2, 1.0e4, 1.0e6, 1.0e8])
     def test_rel_closed_form_matches_stencils(self, rho):
         # rho = 1e-5 puts 2m / T_C near 2e3, where e^(2m/T) overflows
         acc = AccuracyBudget(relative_tolerance=1e-8)
@@ -485,7 +497,7 @@ class TestDiscontinuity:
                                         closed.critical_temperature, acc)
         # plain floats, so a report holding them serializes as JSON
         assert type(left) is float and type(right) is float
-        assert rel(closed.jump, left - right) <= 1e-5
+        assert rel(closed.jump, left - right) <= 1e-6
         assert rel(closed.left_derivative, left) <= 1e-10
 
 
@@ -550,17 +562,17 @@ class TestRootSolveWork:
         assert gk15_panels[0] <= 600
 
     def test_rel_chebyshev_slopes_dilute(self, integrals):
-        # rho = 1e-5: T_C = 1.5e-3 m, 2m/T ~ 1,300; 15 report integrals
-        # plus the 7 gas rows' tight (3e-13) mu(T) solve
+        # rho = 1e-5: T_C = 1.5e-3 m, 2m/T ~ 1,300; 16 report integrals,
+        # one mu(T) row at T_C (1 + 1e-3) and the 8 gas nodes' T(u) solve
         tc = critical_temperature(rel_charge(1.0e-5), 1.0, self.CLI_ACC)
         integrals[0] = 0
         _chebyshev_slopes(charged_params(), GEO, rel_charge(1.0e-5), tc,
                           self.CLI_ACC)
-        assert integrals[0] <= 350
+        assert integrals[0] <= 70
 
     def test_rel_dilute_row_just_above_tc(self, integrals):
-        # rho = 1e-8, T = T_C (1 + 1e-9): once every |mu| = m - u^2 left
-        # in the bracket rounds to one double, narrowing u moves nothing
+        # rho = 1e-8, T = T_C (1 + 1e-9): the gap is 1.9e-23, below
+        # ulp(m); the kernel gets it exact, so the residual stop is met
         tc = critical_temperature(rel_charge(1.0e-8), 1.0)
         integrals[0] = 0
         solve_chemical_potential(tc * (1.0 + 1e-9), rel_charge(1.0e-8), 1.0)
@@ -625,7 +637,7 @@ class TestLockstepSweep:
         temps = [40.0, 50.0, 54.0, 56.0, 60.0, 70.0, 80.0]
         tight = AccuracyBudget(relative_tolerance=1e-12)
         capacities = condensate._charge_rows(temps, [1.0] * len(temps),
-                                             1.0, tight)
+                                             [0.0] * len(temps), 1.0, tight)
         assert min(capacities) < 1e3 < max(capacities)
         table = sweep(charged_params(), GEO, charge, temps, self.ACC, tc=tc)
         for t, row in zip(temps, table.rows):
